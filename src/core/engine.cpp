@@ -63,14 +63,10 @@ void sim_engine::run_until(sim_time until) {
 void sim_engine::dispatch(const engine_event& event, sim_time t) {
     using action = engine_event::action;
     switch (event.act) {
-        case action::commission_node: {
-            const node_id node(event.id);
-            cluster_of(scenario_.infrastructure.get(node).bb)
-                .node(node)
-                .set_accepting(true);
+        case action::commission_node:
+            refresh_accepting(node_id(event.id), t);
             if (bp_ != nullptr) bp_drain_wanted_ = true;
             break;
-        }
         case action::decommission_node:
             decommission_node(node_id(event.id), t);
             break;
@@ -256,7 +252,7 @@ void sim_engine::setup_node_churn() {
         compute_node& mutable_node = f.get_mutable(a.node);
         if (a.commission) {
             mutable_node.available_from = a.at;
-            cluster_of(mutable_node.bb).node(a.node).set_accepting(false);
+            refresh_accepting(a.node, queue_.now());
             queue_.schedule_at(
                 a.at, engine_event{engine_event::action::commission_node,
                                    a.node.value()});
@@ -840,10 +836,14 @@ void sim_engine::delete_vm(vm_id vm, sim_time when) {
                                    .from = rec.placed_node});
 }
 
+void sim_engine::refresh_accepting(node_id node, sim_time t) {
+    const compute_node& meta = scenario_.infrastructure.get(node);
+    cluster_of(meta.bb).node(node).set_accepting(meta.available_at(t) &&
+                                                 !node_is_down(node));
+}
+
 void sim_engine::decommission_node(node_id node, sim_time t) {
-    cluster_of(scenario_.infrastructure.get(node).bb)
-        .node(node)
-        .set_accepting(false);
+    refresh_accepting(node, t);
     evacuate_node(node, t, lifecycle_event_kind::evacuate);
 }
 
@@ -1448,15 +1448,14 @@ void sim_engine::apply_fault(const fault_event& event, sim_time t) {
         return;
     }
     const auto idx = static_cast<std::size_t>(event.node.value());
-    const compute_node& meta = scenario_.infrastructure.get(event.node);
-    node_runtime& nr = cluster_of(meta.bb).node(event.node);
+    expects(idx < node_down_.size(), "sim_engine::apply_fault: unknown node");
     switch (event.kind) {
         case fault_event_kind::host_crash:
             crash_node(event.node, t);
             break;
         case fault_event_kind::host_repair:
             node_down_[idx] = 0;
-            if (meta.available_at(t)) nr.set_accepting(true);
+            refresh_accepting(event.node, t);
             if (bp_ != nullptr) bp_drain_wanted_ = true;
             break;
         case fault_event_kind::degrade_begin:
@@ -1467,14 +1466,14 @@ void sim_engine::apply_fault(const fault_event& event, sim_time t) {
             break;
         case fault_event_kind::maintenance_begin:
             if (node_down_[idx] != 0) break;  // already crashed: skip
-            nr.set_accepting(false);
             node_down_[idx] = 1;
+            refresh_accepting(event.node, t);
             stats_.maintenance_evacuations +=
                 evacuate_node(event.node, t, lifecycle_event_kind::evacuate);
             break;
         case fault_event_kind::maintenance_end:
             node_down_[idx] = 0;
-            if (meta.available_at(t)) nr.set_accepting(true);
+            refresh_accepting(event.node, t);
             if (bp_ != nullptr) bp_drain_wanted_ = true;
             break;
         case fault_event_kind::az_outage_begin:
@@ -1487,8 +1486,8 @@ void sim_engine::crash_node(node_id node, sim_time t) {
     const compute_node& meta = scenario_.infrastructure.get(node);
     drs_cluster& cluster = cluster_of(meta.bb);
     node_runtime& nr = cluster.node(node);
-    nr.set_accepting(false);
     node_down_[static_cast<std::size_t>(node.value())] = 1;
+    refresh_accepting(node, t);
     ++stats_.host_crashes;
 
     // every resident dies with the host; HA re-places the whole detection
@@ -1543,10 +1542,7 @@ void sim_engine::end_az_outage(az_id az, sim_time t) {
             if (node_az_down_[idx] == 0) continue;  // not ours to repair
             node_az_down_[idx] = 0;
             node_down_[idx] = 0;
-            const compute_node& meta = scenario_.infrastructure.get(node);
-            if (meta.available_at(t)) {
-                cluster_of(meta.bb).node(node).set_accepting(true);
-            }
+            refresh_accepting(node, t);
         }
     }
     if (bp_ != nullptr) bp_drain_wanted_ = true;

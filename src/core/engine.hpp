@@ -18,11 +18,14 @@
 // commission/decommission nodes (the heatmaps' white cells).
 
 #include <array>
+#include <concepts>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -58,7 +61,7 @@ struct engine_access;  // checkpoint/restore implementation (src/snapshot)
 /// action::fault.
 struct engine_event {
     enum class action : std::uint8_t {
-        commission_node,    ///< id = node: set_accepting(true)
+        commission_node,    ///< id = node: refresh_accepting
         decommission_node,  ///< id = node
         delete_vm,          ///< id = vm
         drain_arrivals,     ///< pinned-slot churn drain
@@ -129,6 +132,164 @@ struct engine_config {
     /// built, no events fire, and runs reproduce byte-for-byte.
     backpressure_config backpressure;
 };
+
+// --- field lists -------------------------------------------------------------
+// engine_config and run_stats each have ONE list of their members: the
+// for_each_field overloads below.  The snapshot codec, the scenario DSL,
+// merge_run_stats, stats_fingerprint and the tests' stats comparator walk
+// a list instead of naming members, so a member added to a struct and its
+// list reaches all of them at once.
+
+/// How merge_run_stats folds one member across regions.
+enum class merge_rule : std::uint8_t { none, sum, max };
+
+/// One member of a field list.
+struct field_info {
+    std::string_view name;  ///< member path, e.g. "fault.az_outages"
+    /// Scenario DSL `key` in `[section]`; empty when the DSL does not set it.
+    std::string_view section = {};
+    std::string_view key = {};
+    /// Snapshot format versions that carry the member: since..until
+    /// (until 0 = every version from `since` on).
+    std::uint32_t since = 1;
+    std::uint32_t until = 0;
+    merge_rule merge = merge_rule::none;
+    /// False for host timings, which stay out of fingerprints and
+    /// comparisons.
+    bool deterministic = true;
+
+    constexpr bool in_format(std::uint32_t version) const {
+        return version >= since && (until == 0 || version <= until);
+    }
+};
+
+namespace fields {
+/// A config member the DSL sets as `key` in `[section]`.
+constexpr field_info dsl(std::string_view name, std::string_view section,
+                         std::string_view key, std::uint32_t since = 1) {
+    return {name, section, key, since};
+}
+/// A config member outside the DSL.
+constexpr field_info plain(std::string_view name, std::uint32_t until = 0) {
+    return {name, {}, {}, 1, until};
+}
+/// A deterministic run_stats counter.
+constexpr field_info stat(std::string_view name,
+                          merge_rule merge = merge_rule::sum,
+                          std::uint32_t since = 1) {
+    return {name, {}, {}, since, 0, merge};
+}
+/// A run_stats host timing: summed across regions, never fingerprinted,
+/// and not stored in snapshots from format v3 on.
+constexpr field_info host_timing(std::string_view name) {
+    return {name, {}, {}, 1, 2, merge_rule::sum, false};
+}
+}  // namespace fields
+
+/// The field list of engine_config: calls v(info, c.member...) once per
+/// leaf member, in declaration order, which is the snapshot codec's row
+/// order.  Pass several configs to visit one member of each together.
+template <class Visitor, class... Config>
+    requires(std::same_as<std::remove_const_t<Config>, engine_config> && ...)
+constexpr void for_each_field(Visitor&& v, Config&... c) {
+    using fields::dsl;
+    using fields::plain;
+    v(dsl("scenario.scale", "engine", "scale"), c.scenario.scale...);
+    v(dsl("scenario.seed", "engine", "seed"), c.scenario.seed...);
+    v(plain("scenario.hana_node_fraction"), c.scenario.hana_node_fraction...);
+    v(plain("scenario.dedicated_xl_node_fraction"),
+      c.scenario.dedicated_xl_node_fraction...);
+    v(plain("scenario.reserve_node_fraction"),
+      c.scenario.reserve_node_fraction...);
+    v(dsl("sampling_interval", "engine", "sampling_interval"),
+      c.sampling_interval...);
+    v(dsl("drs_interval", "engine", "drs_interval"), c.drs_interval...);
+    v(plain("drs.imbalance_threshold"), c.drs.imbalance_threshold...);
+    v(plain("drs.max_migrations_per_pass"), c.drs.max_migrations_per_pass...);
+    v(plain("drs.heavy_vm_ram_mib"), c.drs.heavy_vm_ram_mib...);
+    v(plain("drs.min_gain"), c.drs.min_gain...);
+    v(plain("drs.cpu_allocation_ratio"), c.drs.cpu_allocation_ratio...);
+    v(plain("drs.ram_allocation_ratio"), c.drs.ram_allocation_ratio...);
+    v(plain("drs.enabled"), c.drs.enabled...);
+    v(plain("drs.pack_memory"), c.drs.pack_memory...);
+    v(plain("store.days"), c.store.days...);
+    v(plain("store.keep_raw"), c.store.keep_raw...);
+    // overwritten by the engine at setup (scale and seed decide them)
+    v(plain("population.initial_population", 2),
+      c.population.initial_population...);
+    v(dsl("population.daily_churn_fraction", "engine", "daily_churn_fraction"),
+      c.population.daily_churn_fraction...);
+    v(dsl("population.project_count", "engine", "project_count"),
+      c.population.project_count...);
+    v(plain("population.seed", 2), c.population.seed...);
+    v(dsl("contention_aware", "engine", "contention_aware"),
+      c.contention_aware...);
+    v(plain("contention_filter_threshold_pct"),
+      c.contention_filter_threshold_pct...);
+    v(dsl("holistic", "engine", "holistic"), c.holistic...);
+    v(dsl("lifetime_aware", "engine", "lifetime_aware"), c.lifetime_aware...);
+    v(dsl("node_churn_fraction", "engine", "node_churn_fraction"),
+      c.node_churn_fraction...);
+    v(dsl("daily_resize_fraction", "engine", "daily_resize_fraction"),
+      c.daily_resize_fraction...);
+    v(dsl("gp_cpu_allocation_ratio_override", "engine",
+          "gp_cpu_allocation_ratio"),
+      c.gp_cpu_allocation_ratio_override...);
+    v(dsl("cross_bb_interval", "engine", "cross_bb_interval"),
+      c.cross_bb_interval...);
+    v(plain("cross_bb.target_ram_spread"), c.cross_bb.target_ram_spread...);
+    v(plain("cross_bb.max_moves_per_pass"), c.cross_bb.max_moves_per_pass...);
+    v(plain("cross_bb.heavy_vm_ram_mib"), c.cross_bb.heavy_vm_ram_mib...);
+    v(plain("cross_bb.max_downtime_ms"), c.cross_bb.max_downtime_ms...);
+    v(plain("cross_bb.cost.bandwidth_mib_per_s"),
+      c.cross_bb.cost.bandwidth_mib_per_s...);
+    v(plain("cross_bb.cost.stop_and_copy_mib"),
+      c.cross_bb.cost.stop_and_copy_mib...);
+    v(plain("cross_bb.cost.max_precopy_rounds"),
+      c.cross_bb.cost.max_precopy_rounds...);
+    v(plain("migration_cost.bandwidth_mib_per_s"),
+      c.migration_cost.bandwidth_mib_per_s...);
+    v(plain("migration_cost.stop_and_copy_mib"),
+      c.migration_cost.stop_and_copy_mib...);
+    v(plain("migration_cost.max_precopy_rounds"),
+      c.migration_cost.max_precopy_rounds...);
+    v(plain("threads"), c.threads...);
+    v(dsl("fault.host_crash_rate_per_day", "fault", "crash_rate_per_day"),
+      c.fault.host_crash_rate_per_day...);
+    v(dsl("fault.claim_failure_probability", "fault",
+          "claim_failure_probability"),
+      c.fault.claim_failure_probability...);
+    v(dsl("fault.migration_abort_probability", "fault",
+          "migration_abort_probability"),
+      c.fault.migration_abort_probability...);
+    v(dsl("fault.degraded_node_fraction", "fault", "degraded_node_fraction"),
+      c.fault.degraded_node_fraction...);
+    v(dsl("fault.degraded_cpu_factor", "fault", "degraded_cpu_factor"),
+      c.fault.degraded_cpu_factor...);
+    v(dsl("fault.maintenance_windows", "fault", "maintenance_windows"),
+      c.fault.maintenance_windows...);
+    v(dsl("fault.maintenance_duration", "fault", "maintenance_duration"),
+      c.fault.maintenance_duration...);
+    v(dsl("fault.az_outages", "fault", "az_outages"), c.fault.az_outages...);
+    v(dsl("fault.az_outage_at", "fault", "az_outage_at"),
+      c.fault.az_outage_at...);
+    v(dsl("fault.az_outage_repair_time", "fault", "az_outage_repair_time"),
+      c.fault.az_outage_repair_time...);
+    v(dsl("fault.ha_restart_delay", "fault", "ha_restart_delay"),
+      c.fault.ha_restart_delay...);
+    v(dsl("fault.ha_retry_backoff", "fault", "ha_retry_backoff"),
+      c.fault.ha_retry_backoff...);
+    v(dsl("fault.ha_max_restart_attempts", "fault", "ha_max_restart_attempts"),
+      c.fault.ha_max_restart_attempts...);
+    v(dsl("fault.crash_repair_time", "fault", "crash_repair_time"),
+      c.fault.crash_repair_time...);
+    v(dsl("backpressure.mode", "backpressure", "mode", 2),
+      c.backpressure.mode...);
+    v(dsl("backpressure.queue_capacity", "backpressure", "queue_capacity", 2),
+      c.backpressure.queue_capacity...);
+    v(dsl("backpressure.queue_deadline", "backpressure", "queue_deadline", 2),
+      c.backpressure.queue_deadline...);
+}
 
 /// Aggregate counters of one simulation run.
 struct run_stats {
@@ -250,6 +411,90 @@ struct run_stats {
     /// queue/shed modes the victim is re-queued instead).
     std::uint64_t ha_give_ups = 0;
 };
+
+/// The field list of run_stats: calls v(info, s.member...) once per
+/// member, in declaration order, which is the snapshot codec's and
+/// stats_fingerprint's order.  Pass several stats to visit one member of
+/// each together.
+template <class Visitor, class... Stats>
+    requires(std::same_as<std::remove_const_t<Stats>, run_stats> && ...)
+constexpr void for_each_field(Visitor&& v, Stats&... s) {
+    using fields::host_timing;
+    using fields::stat;
+    constexpr merge_rule max = merge_rule::max;
+    v(stat("placements"), s.placements...);
+    v(stat("placement_failures"), s.placement_failures...);
+    v(stat("scheduler_retries"), s.scheduler_retries...);
+    v(stat("drs_migrations"), s.drs_migrations...);
+    v(stat("evacuations"), s.evacuations...);
+    v(stat("forced_fits"), s.forced_fits...);
+    v(stat("holistic_claim_rejections"), s.holistic_claim_rejections...);
+    v(stat("deletions"), s.deletions...);
+    v(stat("scrapes"), s.scrapes...);
+    v(stat("cross_bb_moves"), s.cross_bb_moves...);
+    v(stat("resizes"), s.resizes...);
+    v(stat("resize_failures"), s.resize_failures...);
+    v(stat("migration_seconds"), s.migration_seconds...);
+    v(stat("max_migration_downtime_ms", max), s.max_migration_downtime_ms...);
+    v(stat("speculative_placements"), s.speculative_placements...);
+    v(stat("speculation_misses"), s.speculation_misses...);
+    v(host_timing("initial_placement_wall_ms"), s.initial_placement_wall_ms...);
+    v(stat("window_batches"), s.window_batches...);
+    v(stat("window_speculations"), s.window_speculations...);
+    v(stat("window_speculative_placements"),
+      s.window_speculative_placements...);
+    v(stat("window_speculation_misses"), s.window_speculation_misses...);
+    v(stat("window_speculation_invalidated"),
+      s.window_speculation_invalidated...);
+    v(host_timing("churn_placement_wall_ms"), s.churn_placement_wall_ms...);
+    v(stat("recovery_batches"), s.recovery_batches...);
+    v(stat("recovery_speculations"), s.recovery_speculations...);
+    v(stat("recovery_speculative_placements"),
+      s.recovery_speculative_placements...);
+    v(stat("recovery_speculation_misses"), s.recovery_speculation_misses...);
+    v(stat("recovery_speculation_invalidated"),
+      s.recovery_speculation_invalidated...);
+    v(stat("recovery_speculation_cancelled"),
+      s.recovery_speculation_cancelled...);
+    v(host_timing("recovery_placement_wall_ms"),
+      s.recovery_placement_wall_ms...);
+    v(stat("rebalance_target_speculations"),
+      s.rebalance_target_speculations...);
+    v(stat("rebalance_targets_used"), s.rebalance_targets_used...);
+    v(stat("rebalance_target_invalidated"), s.rebalance_target_invalidated...);
+    v(stat("az_outages"), s.az_outages...);
+    v(stat("host_crashes"), s.host_crashes...);
+    v(stat("crash_victims"), s.crash_victims...);
+    v(stat("ha_restarts"), s.ha_restarts...);
+    v(stat("ha_restart_failures"), s.ha_restart_failures...);
+    v(stat("migration_aborts"), s.migration_aborts...);
+    v(stat("maintenance_evacuations"), s.maintenance_evacuations...);
+    v(stat("wasted_migration_seconds"), s.wasted_migration_seconds...);
+    // backpressure counters arrived with snapshot format v2
+    v(stat("bp_enqueued", merge_rule::sum, 2), s.bp_enqueued...);
+    v(stat("bp_queue_placed", merge_rule::sum, 2), s.bp_queue_placed...);
+    v(stat("bp_shed_deadline", merge_rule::sum, 2), s.bp_shed_deadline...);
+    v(stat("bp_shed_queue_full", merge_rule::sum, 2), s.bp_shed_queue_full...);
+    v(stat("bp_shed_evicted", merge_rule::sum, 2), s.bp_shed_evicted...);
+    v(stat("bp_cancelled", merge_rule::sum, 2), s.bp_cancelled...);
+    v(stat("bp_regime_transitions", merge_rule::sum, 2),
+      s.bp_regime_transitions...);
+    v(stat("bp_peak_queue_len", max, 2), s.bp_peak_queue_len...);
+    v(stat("ha_give_ups", merge_rule::sum, 2), s.ha_give_ups...);
+}
+
+/// Number of members in run_stats' field list.
+constexpr std::size_t run_stats_field_count() {
+    std::size_t n = 0;
+    run_stats s;
+    for_each_field([&n](const field_info&, auto&) { ++n; }, s);
+    return n;
+}
+
+// Every run_stats member is 8 bytes wide, so a member missing from the
+// field list (or a padding gap) fails the build here.
+static_assert(run_stats_field_count() * 8 == sizeof(run_stats),
+              "run_stats has a member that its field list does not visit");
 
 /// Optional in-run observation hooks for the invariants harness
 /// (sci::harness).  Both unset by default — the engine then behaves
@@ -415,6 +660,11 @@ private:
     void scrape(sim_time t);
     void drs_pass(sim_time t);
     void cross_bb_pass(sim_time t);
+    /// Whether `node` takes VMs is derived, never set directly: it does
+    /// exactly when it is in service at `t` and not down (crashed, in
+    /// maintenance or lost to an AZ outage).  Every event that changes
+    /// either input calls this.
+    void refresh_accepting(node_id node, sim_time t);
     void decommission_node(node_id node, sim_time t);
     /// Re-place every resident of `node` within its cluster, recording
     /// events of `kind`.  Returns the number of VMs moved (or terminated
@@ -605,7 +855,7 @@ private:
     // --- batched churn-arrival placement ----------------------------------
     // In-window arrivals are pre-sorted by creation time and drained by
     // ONE self-rescheduling event pinned to a reserved heap sequence slot
-    // (event_queue::schedule_at_pinned), so the tie order at equal
+    // (event_heap::schedule_at_pinned), so the tie order at equal
     // timestamps is exactly the per-arrival schedule it replaces while the
     // heap carries O(1) arrival entries instead of one per arrival.  Each
     // drain extends the same speculate/commit pipeline into the event

@@ -82,53 +82,11 @@ bool scenario_outcome::passed() const {
 
 std::uint64_t stats_fingerprint(const run_stats& s) {
     std::uint64_t h = fnv_offset;
-    fnv1a(h, s.placements);
-    fnv1a(h, s.placement_failures);
-    fnv1a(h, s.scheduler_retries);
-    fnv1a(h, s.drs_migrations);
-    fnv1a(h, s.evacuations);
-    fnv1a(h, s.forced_fits);
-    fnv1a(h, s.holistic_claim_rejections);
-    fnv1a(h, s.deletions);
-    fnv1a(h, s.scrapes);
-    fnv1a(h, s.cross_bb_moves);
-    fnv1a(h, s.resizes);
-    fnv1a(h, s.resize_failures);
-    fnv1a(h, s.migration_seconds);
-    fnv1a(h, s.max_migration_downtime_ms);
-    fnv1a(h, s.speculative_placements);
-    fnv1a(h, s.speculation_misses);
-    fnv1a(h, s.window_batches);
-    fnv1a(h, s.window_speculations);
-    fnv1a(h, s.window_speculative_placements);
-    fnv1a(h, s.window_speculation_misses);
-    fnv1a(h, s.window_speculation_invalidated);
-    fnv1a(h, s.recovery_batches);
-    fnv1a(h, s.recovery_speculations);
-    fnv1a(h, s.recovery_speculative_placements);
-    fnv1a(h, s.recovery_speculation_misses);
-    fnv1a(h, s.recovery_speculation_invalidated);
-    fnv1a(h, s.recovery_speculation_cancelled);
-    fnv1a(h, s.rebalance_target_speculations);
-    fnv1a(h, s.rebalance_targets_used);
-    fnv1a(h, s.rebalance_target_invalidated);
-    fnv1a(h, s.az_outages);
-    fnv1a(h, s.host_crashes);
-    fnv1a(h, s.crash_victims);
-    fnv1a(h, s.ha_restarts);
-    fnv1a(h, s.ha_restart_failures);
-    fnv1a(h, s.migration_aborts);
-    fnv1a(h, s.maintenance_evacuations);
-    fnv1a(h, s.wasted_migration_seconds);
-    fnv1a(h, s.bp_enqueued);
-    fnv1a(h, s.bp_queue_placed);
-    fnv1a(h, s.bp_shed_deadline);
-    fnv1a(h, s.bp_shed_queue_full);
-    fnv1a(h, s.bp_shed_evicted);
-    fnv1a(h, s.bp_cancelled);
-    fnv1a(h, s.bp_regime_transitions);
-    fnv1a(h, s.bp_peak_queue_len);
-    fnv1a(h, s.ha_give_ups);
+    for_each_field(
+        [&h](const field_info& f, const auto& member) {
+            if (f.deterministic) fnv1a(h, member);
+        },
+        s);
     return h;
 }
 

@@ -69,8 +69,9 @@ struct scenario_outcome {
     bool passed() const;
 };
 
-/// FNV-1a over the deterministic run_stats fields (counters and
-/// migration figures; the *_wall_ms host timings are excluded).
+/// FNV-1a over the deterministic run_stats fields in field-list order
+/// (counters and migration figures; the *_wall_ms host timings are
+/// excluded).
 std::uint64_t stats_fingerprint(const run_stats& stats);
 
 /// FNV-1a over every event row: t, kind, vm, bb, from, to, reason.

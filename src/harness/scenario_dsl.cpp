@@ -1,10 +1,12 @@
 #include "harness/scenario_dsl.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "simcore/error.hpp"
 #include "simcore/rng.hpp"
@@ -29,52 +31,100 @@ std::string_view trim(std::string_view s) {
                 message);
 }
 
-bool parse_bool(std::string_view value, int line) {
-    if (value == "true") return true;
-    if (value == "false") return false;
-    parse_fail(line, "expected true/false, got '" + std::string(value) + "'");
-}
+template <class T>
+constexpr bool is_optional = false;
+template <class T>
+constexpr bool is_optional<std::optional<T>> = true;
 
-double parse_double(std::string_view value, int line) {
-    double out = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), out);
-    if (ec != std::errc{} || ptr != value.data() + value.size()) {
-        parse_fail(line, "expected a number, got '" + std::string(value) + "'");
+/// Parse `value` into `out`, checked against out's type: integers must
+/// fit it (so unsigned members take no sign), doubles must be numbers,
+/// bools are true/false and the backpressure mode goes by name.  Errors
+/// name the line and the key.
+template <class T>
+void parse_value(T& out, std::string_view key, std::string_view value,
+                 int line) {
+    const auto fail = [&](const std::string& expected) {
+        parse_fail(line, std::string(key) + ": expected " + expected +
+                             ", got '" + std::string(value) + "'");
+    };
+    if constexpr (is_optional<T>) {
+        typename T::value_type inner{};
+        parse_value(inner, key, value, line);
+        out = inner;
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (value != "true" && value != "false") fail("true/false");
+        out = value == "true";
+    } else if constexpr (std::is_same_v<T, backpressure_mode>) {
+        const auto mode = backpressure_mode_from(value);
+        if (!mode.has_value()) fail("degrade/queue/shed");
+        out = *mode;
+    } else {
+        const char* end = value.data() + value.size();
+        const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+        if (ec == std::errc{} && ptr == end) return;
+        if constexpr (std::is_floating_point_v<T>) {
+            fail("a number");
+        } else {
+            fail("an integer in [" +
+                 std::to_string(std::numeric_limits<T>::min()) + ", " +
+                 std::to_string(std::numeric_limits<T>::max()) + "]");
+        }
     }
-    return out;
 }
 
-std::int64_t parse_int(std::string_view value, int line) {
-    std::int64_t out = 0;
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), out);
-    if (ec != std::errc{} || ptr != value.data() + value.size()) {
-        parse_fail(line,
-                   "expected an integer, got '" + std::string(value) + "'");
+/// `key = value` in canonical form; nothing for an unset optional.
+template <class T>
+void render_value(std::ostream& out, std::string_view key, const T& value) {
+    if constexpr (is_optional<T>) {
+        if (value.has_value()) render_value(out, key, *value);
+    } else {
+        out << key << " = ";
+        if constexpr (std::is_same_v<T, bool>) {
+            out << (value ? "true" : "false");
+        } else if constexpr (std::is_enum_v<T>) {
+            out << to_string(value);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            // shortest decimal that round-trips the double, so rendered
+            // files read like hand-written ones and parse back bit-exact
+            char buf[32];
+            const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+            ensures(ec == std::errc{}, "render_value: to_chars failed");
+            out << std::string_view(buf, static_cast<std::size_t>(ptr - buf));
+        } else {
+            out << value;
+        }
+        out << "\n";
     }
-    return out;
 }
 
-/// Shortest decimal that round-trips the double (so rendered files stay
-/// as readable as hand-written ones and parse back bit-identically).
-std::string format_double(double value) {
-    char buf[32];
-    const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
-    ensures(ec == std::errc{}, "format_double: to_chars failed");
-    return std::string(buf, ptr);
-}
+/// The config sections, in canonical order; their keys come from
+/// engine_config's field list.
+constexpr std::array<std::string_view, 3> config_sections = {
+    "engine", "fault", "backpressure"};
 
-enum class section {
-    none, scenario, engine, fault, backpressure, invariants, snapshot, region,
-    replay
-};
+/// Set `key` of config section `section` through the field list; false
+/// when the section has no such key.
+bool set_config_key(engine_config& cfg, std::string_view section,
+                    std::string_view key, std::string_view value, int line) {
+    bool found = false;
+    for_each_field(
+        [&](const field_info& f, auto& member) {
+            if (f.section == section && f.key == key) {
+                parse_value(member, key, value, line);
+                found = true;
+            }
+        },
+        cfg);
+    return found;
+}
 
 }  // namespace
 
 scenario_spec parse_scenario(std::string_view text) {
     scenario_spec spec;
-    section current = section::none;
+    // current section name ("region" for any [region.N]); empty before the
+    // first header
+    std::string_view current;
     std::size_t current_region = 0;  // index into spec.regions while parsing
     int line_no = 0;
     std::size_t pos = 0;
@@ -96,31 +146,30 @@ scenario_spec parse_scenario(std::string_view text) {
         if (line.front() == '[') {
             if (line.back() != ']') parse_fail(line_no, "unterminated section");
             const std::string_view name = line.substr(1, line.size() - 2);
-            if (name == "scenario") current = section::scenario;
-            else if (name == "engine") current = section::engine;
-            else if (name == "fault") current = section::fault;
-            else if (name == "backpressure") current = section::backpressure;
-            else if (name == "invariants") current = section::invariants;
-            else if (name == "snapshot") current = section::snapshot;
-            else if (name == "replay") current = section::replay;
-            else if (name.starts_with("region.")) {
-                const std::string_view index_text = name.substr(7);
-                const std::int64_t index = parse_int(index_text, line_no);
-                if (index < 0) parse_fail(line_no, "negative region index");
+            if (name.starts_with("region.")) {
+                std::size_t index = 0;
+                parse_value(index, "region index", name.substr(7), line_no);
                 for (const region_override& r : spec.regions) {
-                    if (r.index == static_cast<std::size_t>(index)) {
+                    if (r.index == index) {
                         parse_fail(line_no, "duplicate section '[" +
                                                 std::string(name) + "]'");
                     }
                 }
                 region_override region;
-                region.index = static_cast<std::size_t>(index);
+                region.index = index;
                 current_region = spec.regions.size();
                 spec.regions.push_back(region);
-                current = section::region;
+                current = "region";
+            } else if (name == "scenario" || name == "invariants" ||
+                       name == "snapshot" || name == "replay" ||
+                       std::find(config_sections.begin(),
+                                 config_sections.end(),
+                                 name) != config_sections.end()) {
+                current = name;
+            } else {
+                parse_fail(line_no,
+                           "unknown section '" + std::string(name) + "'");
             }
-            else parse_fail(line_no,
-                            "unknown section '" + std::string(name) + "'");
             continue;
         }
 
@@ -131,215 +180,86 @@ scenario_spec parse_scenario(std::string_view text) {
         const std::string_view key = trim(line.substr(0, eq));
         const std::string_view value = trim(line.substr(eq + 1));
         if (key.empty()) parse_fail(line_no, "empty key");
+        if (current.empty()) parse_fail(line_no, "key outside any [section]");
 
-        engine_config& cfg = spec.config;
-        fault_config& fault = cfg.fault;
+        bool known = true;
         invariant_config& inv = spec.invariants;
-        switch (current) {
-            case section::none:
-                parse_fail(line_no, "key outside any [section]");
-            case section::scenario:
-                if (key == "name") spec.name = std::string(value);
-                else if (key == "description") {
-                    spec.description = std::string(value);
-                } else {
-                    parse_fail(line_no, "unknown [scenario] key '" +
-                                            std::string(key) + "'");
-                }
-                break;
-            case section::engine:
-                if (key == "scale") {
-                    cfg.scenario.scale = parse_double(value, line_no);
-                } else if (key == "seed") {
-                    // one seed drives the whole run: fleet construction,
-                    // population sampling, and the fault schedule
-                    const auto seed = static_cast<std::uint64_t>(
-                        parse_int(value, line_no));
-                    cfg.scenario.seed = seed;
-                    cfg.population.seed = seed;
-                } else if (key == "sampling_interval") {
-                    cfg.sampling_interval =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "drs_interval") {
-                    cfg.drs_interval =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "cross_bb_interval") {
-                    cfg.cross_bb_interval =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "contention_aware") {
-                    cfg.contention_aware = parse_bool(value, line_no);
-                } else if (key == "holistic") {
-                    cfg.holistic = parse_bool(value, line_no);
-                } else if (key == "lifetime_aware") {
-                    cfg.lifetime_aware = parse_bool(value, line_no);
-                } else if (key == "node_churn_fraction") {
-                    cfg.node_churn_fraction = parse_double(value, line_no);
-                } else if (key == "daily_resize_fraction") {
-                    cfg.daily_resize_fraction = parse_double(value, line_no);
-                } else if (key == "daily_churn_fraction") {
-                    cfg.population.daily_churn_fraction =
-                        parse_double(value, line_no);
-                } else if (key == "project_count") {
-                    cfg.population.project_count =
-                        static_cast<int>(parse_int(value, line_no));
-                } else if (key == "gp_cpu_allocation_ratio") {
-                    cfg.gp_cpu_allocation_ratio_override =
-                        parse_double(value, line_no);
-                } else {
-                    parse_fail(line_no, "unknown [engine] key '" +
-                                            std::string(key) + "'");
-                }
-                break;
-            case section::fault:
-                if (key == "crash_rate_per_day") {
-                    fault.host_crash_rate_per_day =
-                        parse_double(value, line_no);
-                } else if (key == "claim_failure_probability") {
-                    fault.claim_failure_probability =
-                        parse_double(value, line_no);
-                } else if (key == "migration_abort_probability") {
-                    fault.migration_abort_probability =
-                        parse_double(value, line_no);
-                } else if (key == "degraded_node_fraction") {
-                    fault.degraded_node_fraction =
-                        parse_double(value, line_no);
-                } else if (key == "degraded_cpu_factor") {
-                    fault.degraded_cpu_factor = parse_double(value, line_no);
-                } else if (key == "maintenance_windows") {
-                    fault.maintenance_windows =
-                        static_cast<int>(parse_int(value, line_no));
-                } else if (key == "maintenance_duration") {
-                    fault.maintenance_duration =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "az_outages") {
-                    fault.az_outages =
-                        static_cast<int>(parse_int(value, line_no));
-                } else if (key == "az_outage_at") {
-                    fault.az_outage_at =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "az_outage_repair_time") {
-                    fault.az_outage_repair_time =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "ha_restart_delay") {
-                    fault.ha_restart_delay =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "ha_retry_backoff") {
-                    fault.ha_retry_backoff =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "ha_max_restart_attempts") {
-                    fault.ha_max_restart_attempts =
-                        static_cast<int>(parse_int(value, line_no));
-                } else if (key == "crash_repair_time") {
-                    fault.crash_repair_time =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else {
-                    parse_fail(line_no, "unknown [fault] key '" +
-                                            std::string(key) + "'");
-                }
-                break;
-            case section::backpressure:
-                if (key == "mode") {
-                    const auto mode = backpressure_mode_from(value);
-                    if (!mode.has_value()) {
-                        parse_fail(line_no,
-                                   "expected degrade/queue/shed, got '" +
-                                       std::string(value) + "'");
-                    }
-                    cfg.backpressure.mode = *mode;
-                } else if (key == "queue_capacity") {
-                    const std::int64_t capacity = parse_int(value, line_no);
-                    if (capacity < 0) {
-                        parse_fail(line_no, "queue_capacity must be >= 0");
-                    }
-                    cfg.backpressure.queue_capacity =
-                        static_cast<std::uint32_t>(capacity);
-                } else if (key == "queue_deadline") {
-                    cfg.backpressure.queue_deadline =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else {
-                    parse_fail(line_no, "unknown [backpressure] key '" +
-                                            std::string(key) + "'");
-                }
-                break;
-            case section::invariants:
-                if (key == "admission_accounting") {
-                    inv.admission_accounting = parse_bool(value, line_no);
-                } else if (key == "no_silent_drops") {
-                    inv.no_silent_drops = parse_bool(value, line_no);
-                } else if (key == "conservation") {
-                    inv.conservation = parse_bool(value, line_no);
-                } else if (key == "no_blackhole") {
-                    inv.no_blackhole = parse_bool(value, line_no);
-                } else if (key == "backpressure_stability") {
-                    inv.backpressure_stability = parse_bool(value, line_no);
-                } else if (key == "flapping_max_moves_per_vm_day") {
-                    inv.flapping_max_moves_per_vm_day =
-                        static_cast<int>(parse_int(value, line_no));
-                } else if (key == "imbalance_epsilon") {
-                    inv.imbalance_epsilon = parse_double(value, line_no);
-                } else if (key == "recovery_p99_seconds") {
-                    inv.recovery_p99_seconds = parse_double(value, line_no);
-                } else if (key == "cross_region_conservation") {
-                    inv.cross_region_conservation = parse_bool(value, line_no);
-                } else if (key == "restore_bit_identity") {
-                    inv.restore_bit_identity = parse_bool(value, line_no);
-                } else {
-                    parse_fail(line_no, "unknown [invariants] key '" +
-                                            std::string(key) + "'");
-                }
-                break;
-            case section::snapshot:
-                if (key == "at") {
-                    const std::int64_t at = parse_int(value, line_no);
-                    if (at <= 0) {
-                        parse_fail(line_no,
-                                   "snapshot barrier must be positive");
-                    }
-                    spec.snapshot_at = static_cast<sim_duration>(at);
-                } else {
-                    parse_fail(line_no, "unknown [snapshot] key '" +
-                                            std::string(key) + "'");
-                }
-                break;
-            case section::region: {
-                region_override& region = spec.regions[current_region];
-                if (key == "name") {
-                    region.name = std::string(value);
-                } else if (key == "scale") {
-                    region.scale = parse_double(value, line_no);
-                } else if (key == "seed") {
-                    region.seed =
-                        static_cast<std::uint64_t>(parse_int(value, line_no));
-                } else if (key == "daily_churn_fraction") {
-                    region.daily_churn_fraction = parse_double(value, line_no);
-                } else if (key == "crash_rate_per_day") {
-                    region.crash_rate_per_day = parse_double(value, line_no);
-                } else if (key == "migration_abort_probability") {
-                    region.migration_abort_probability =
-                        parse_double(value, line_no);
-                } else if (key == "az_outages") {
-                    region.az_outages =
-                        static_cast<int>(parse_int(value, line_no));
-                } else if (key == "az_outage_at") {
-                    region.az_outage_at =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else if (key == "az_outage_repair_time") {
-                    region.az_outage_repair_time =
-                        static_cast<sim_duration>(parse_int(value, line_no));
-                } else {
-                    parse_fail(line_no, "unknown [region] key '" +
-                                            std::string(key) + "'");
-                }
-                break;
+        if (current == "scenario") {
+            if (key == "name") spec.name = std::string(value);
+            else if (key == "description") spec.description = std::string(value);
+            else known = false;
+        } else if (current == "invariants") {
+            if (key == "admission_accounting") {
+                parse_value(inv.admission_accounting, key, value, line_no);
+            } else if (key == "no_silent_drops") {
+                parse_value(inv.no_silent_drops, key, value, line_no);
+            } else if (key == "conservation") {
+                parse_value(inv.conservation, key, value, line_no);
+            } else if (key == "no_blackhole") {
+                parse_value(inv.no_blackhole, key, value, line_no);
+            } else if (key == "backpressure_stability") {
+                parse_value(inv.backpressure_stability, key, value, line_no);
+            } else if (key == "flapping_max_moves_per_vm_day") {
+                parse_value(inv.flapping_max_moves_per_vm_day, key, value,
+                            line_no);
+            } else if (key == "imbalance_epsilon") {
+                parse_value(inv.imbalance_epsilon, key, value, line_no);
+            } else if (key == "recovery_p99_seconds") {
+                parse_value(inv.recovery_p99_seconds, key, value, line_no);
+            } else if (key == "cross_region_conservation") {
+                parse_value(inv.cross_region_conservation, key, value, line_no);
+            } else if (key == "restore_bit_identity") {
+                parse_value(inv.restore_bit_identity, key, value, line_no);
+            } else {
+                known = false;
             }
-            case section::replay:
-                if (key == "trace") {
-                    spec.trace = std::filesystem::path(std::string(value));
-                } else {
-                    parse_fail(line_no, "unknown [replay] key '" +
-                                            std::string(key) + "'");
+        } else if (current == "snapshot") {
+            if (key != "at") {
+                known = false;
+            } else {
+                sim_duration at = 0;
+                parse_value(at, key, value, line_no);
+                if (at <= 0) {
+                    parse_fail(line_no, "snapshot barrier must be positive");
                 }
-                break;
+                spec.snapshot_at = at;
+            }
+        } else if (current == "region") {
+            region_override& region = spec.regions[current_region];
+            if (key == "name") {
+                region.name = std::string(value);
+            } else if (key == "scale") {
+                parse_value(region.scale, key, value, line_no);
+            } else if (key == "seed") {
+                parse_value(region.seed, key, value, line_no);
+            } else if (key == "daily_churn_fraction") {
+                parse_value(region.daily_churn_fraction, key, value, line_no);
+            } else if (key == "crash_rate_per_day") {
+                parse_value(region.crash_rate_per_day, key, value, line_no);
+            } else if (key == "migration_abort_probability") {
+                parse_value(region.migration_abort_probability, key, value,
+                            line_no);
+            } else if (key == "az_outages") {
+                parse_value(region.az_outages, key, value, line_no);
+            } else if (key == "az_outage_at") {
+                parse_value(region.az_outage_at, key, value, line_no);
+            } else if (key == "az_outage_repair_time") {
+                parse_value(region.az_outage_repair_time, key, value, line_no);
+            } else {
+                known = false;
+            }
+        } else if (current == "replay") {
+            if (key == "trace") {
+                spec.trace = std::filesystem::path(std::string(value));
+            } else {
+                known = false;
+            }
+        } else {
+            known = set_config_key(spec.config, current, key, value, line_no);
+        }
+        if (!known) {
+            parse_fail(line_no, "unknown [" + std::string(current) + "] key '" +
+                                    std::string(key) + "'");
         }
     }
     if (spec.name.empty()) {
@@ -374,10 +294,8 @@ std::vector<region_spec> region_specs_of(const scenario_spec& spec) {
                       ? "region" + std::to_string(region.index)
                       : region.name;
         rs.config = spec.config;
-        const std::uint64_t seed = region.seed.value_or(
+        rs.config.scenario.seed = region.seed.value_or(
             derive_region_seed(spec.config.scenario.seed, region.index));
-        rs.config.scenario.seed = seed;
-        rs.config.population.seed = seed;
         if (region.scale.has_value()) rs.config.scenario.scale = *region.scale;
         if (region.daily_churn_fraction.has_value()) {
             rs.config.population.daily_churn_fraction =
@@ -414,116 +332,48 @@ std::vector<region_spec> region_specs_of(const scenario_spec& spec) {
 }
 
 std::string render_scenario(const scenario_spec& spec) {
-    const engine_config& cfg = spec.config;
-    const fault_config& fault = cfg.fault;
     const invariant_config& inv = spec.invariants;
     std::ostringstream out;
-    const auto boolean = [](bool b) { return b ? "true" : "false"; };
     out << "[scenario]\n";
     out << "name = " << spec.name << "\n";
     out << "description = " << spec.description << "\n";
-    out << "\n[engine]\n";
-    out << "scale = " << format_double(cfg.scenario.scale) << "\n";
-    out << "seed = " << cfg.scenario.seed << "\n";
-    out << "sampling_interval = " << cfg.sampling_interval << "\n";
-    out << "drs_interval = " << cfg.drs_interval << "\n";
-    out << "cross_bb_interval = " << cfg.cross_bb_interval << "\n";
-    out << "contention_aware = " << boolean(cfg.contention_aware) << "\n";
-    out << "holistic = " << boolean(cfg.holistic) << "\n";
-    out << "lifetime_aware = " << boolean(cfg.lifetime_aware) << "\n";
-    out << "node_churn_fraction = " << format_double(cfg.node_churn_fraction)
-        << "\n";
-    out << "daily_resize_fraction = "
-        << format_double(cfg.daily_resize_fraction) << "\n";
-    out << "daily_churn_fraction = "
-        << format_double(cfg.population.daily_churn_fraction) << "\n";
-    out << "project_count = " << cfg.population.project_count << "\n";
-    if (cfg.gp_cpu_allocation_ratio_override.has_value()) {
-        out << "gp_cpu_allocation_ratio = "
-            << format_double(*cfg.gp_cpu_allocation_ratio_override) << "\n";
+    for (const std::string_view section : config_sections) {
+        out << "\n[" << section << "]\n";
+        for_each_field(
+            [&](const field_info& f, const auto& member) {
+                if (f.section == section) render_value(out, f.key, member);
+            },
+            spec.config);
     }
-    out << "\n[fault]\n";
-    out << "crash_rate_per_day = "
-        << format_double(fault.host_crash_rate_per_day) << "\n";
-    out << "claim_failure_probability = "
-        << format_double(fault.claim_failure_probability) << "\n";
-    out << "migration_abort_probability = "
-        << format_double(fault.migration_abort_probability) << "\n";
-    out << "degraded_node_fraction = "
-        << format_double(fault.degraded_node_fraction) << "\n";
-    out << "degraded_cpu_factor = " << format_double(fault.degraded_cpu_factor)
-        << "\n";
-    out << "maintenance_windows = " << fault.maintenance_windows << "\n";
-    out << "maintenance_duration = " << fault.maintenance_duration << "\n";
-    out << "az_outages = " << fault.az_outages << "\n";
-    out << "az_outage_at = " << fault.az_outage_at << "\n";
-    out << "az_outage_repair_time = " << fault.az_outage_repair_time << "\n";
-    out << "ha_restart_delay = " << fault.ha_restart_delay << "\n";
-    out << "ha_retry_backoff = " << fault.ha_retry_backoff << "\n";
-    out << "ha_max_restart_attempts = " << fault.ha_max_restart_attempts
-        << "\n";
-    out << "crash_repair_time = " << fault.crash_repair_time << "\n";
-    out << "\n[backpressure]\n";
-    out << "mode = " << to_string(cfg.backpressure.mode) << "\n";
-    out << "queue_capacity = " << cfg.backpressure.queue_capacity << "\n";
-    out << "queue_deadline = " << cfg.backpressure.queue_deadline << "\n";
     out << "\n[invariants]\n";
-    out << "admission_accounting = " << boolean(inv.admission_accounting)
-        << "\n";
-    out << "no_silent_drops = " << boolean(inv.no_silent_drops) << "\n";
-    out << "conservation = " << boolean(inv.conservation) << "\n";
-    out << "no_blackhole = " << boolean(inv.no_blackhole) << "\n";
-    out << "backpressure_stability = " << boolean(inv.backpressure_stability)
-        << "\n";
-    if (inv.flapping_max_moves_per_vm_day.has_value()) {
-        out << "flapping_max_moves_per_vm_day = "
-            << *inv.flapping_max_moves_per_vm_day << "\n";
-    }
-    if (inv.imbalance_epsilon.has_value()) {
-        out << "imbalance_epsilon = " << format_double(*inv.imbalance_epsilon)
-            << "\n";
-    }
-    if (inv.recovery_p99_seconds.has_value()) {
-        out << "recovery_p99_seconds = "
-            << format_double(*inv.recovery_p99_seconds) << "\n";
-    }
-    out << "cross_region_conservation = "
-        << boolean(inv.cross_region_conservation) << "\n";
-    out << "restore_bit_identity = " << boolean(inv.restore_bit_identity)
-        << "\n";
+    render_value(out, "admission_accounting", inv.admission_accounting);
+    render_value(out, "no_silent_drops", inv.no_silent_drops);
+    render_value(out, "conservation", inv.conservation);
+    render_value(out, "no_blackhole", inv.no_blackhole);
+    render_value(out, "backpressure_stability", inv.backpressure_stability);
+    render_value(out, "flapping_max_moves_per_vm_day",
+                 inv.flapping_max_moves_per_vm_day);
+    render_value(out, "imbalance_epsilon", inv.imbalance_epsilon);
+    render_value(out, "recovery_p99_seconds", inv.recovery_p99_seconds);
+    render_value(out, "cross_region_conservation",
+                 inv.cross_region_conservation);
+    render_value(out, "restore_bit_identity", inv.restore_bit_identity);
     if (spec.snapshot_at.has_value()) {
         out << "\n[snapshot]\n";
-        out << "at = " << *spec.snapshot_at << "\n";
+        render_value(out, "at", spec.snapshot_at);
     }
     for (const region_override& region : spec.regions) {
         out << "\n[region." << region.index << "]\n";
         if (!region.name.empty()) out << "name = " << region.name << "\n";
-        if (region.scale.has_value()) {
-            out << "scale = " << format_double(*region.scale) << "\n";
-        }
-        if (region.seed.has_value()) out << "seed = " << *region.seed << "\n";
-        if (region.daily_churn_fraction.has_value()) {
-            out << "daily_churn_fraction = "
-                << format_double(*region.daily_churn_fraction) << "\n";
-        }
-        if (region.crash_rate_per_day.has_value()) {
-            out << "crash_rate_per_day = "
-                << format_double(*region.crash_rate_per_day) << "\n";
-        }
-        if (region.migration_abort_probability.has_value()) {
-            out << "migration_abort_probability = "
-                << format_double(*region.migration_abort_probability) << "\n";
-        }
-        if (region.az_outages.has_value()) {
-            out << "az_outages = " << *region.az_outages << "\n";
-        }
-        if (region.az_outage_at.has_value()) {
-            out << "az_outage_at = " << *region.az_outage_at << "\n";
-        }
-        if (region.az_outage_repair_time.has_value()) {
-            out << "az_outage_repair_time = " << *region.az_outage_repair_time
-                << "\n";
-        }
+        render_value(out, "scale", region.scale);
+        render_value(out, "seed", region.seed);
+        render_value(out, "daily_churn_fraction", region.daily_churn_fraction);
+        render_value(out, "crash_rate_per_day", region.crash_rate_per_day);
+        render_value(out, "migration_abort_probability",
+                     region.migration_abort_probability);
+        render_value(out, "az_outages", region.az_outages);
+        render_value(out, "az_outage_at", region.az_outage_at);
+        render_value(out, "az_outage_repair_time", region.az_outage_repair_time);
     }
     if (!spec.trace.empty()) {
         out << "\n[replay]\n";

@@ -32,9 +32,13 @@
 //   [replay]
 //   trace = traces/az_outage.trace
 //
-// Unknown sections or keys are errors (with the line number) — a typo'd
-// knob must not silently run the default physics.  render_scenario emits
-// the canonical form; parse(render(parse(x))) == parse(x) byte for byte,
+// The [engine], [fault] and [backpressure] keys come from engine_config's
+// field list (core/engine.hpp).  Unknown sections or keys are errors (with
+// the line number) — a typo'd knob must not silently run the default
+// physics — and so is a value outside its member's type: integers are
+// range-checked against the member's width and sign (seeds are unsigned
+// 64-bit), so nothing is narrowed silently.  render_scenario emits the
+// canonical form; parse(render(parse(x))) == parse(x) byte for byte,
 // which tests/harness_test.cpp pins.
 //
 // Multi-region scenarios add `[region.N]` sections: one scenario file

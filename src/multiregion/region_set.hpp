@@ -52,13 +52,14 @@ struct region_spec {
 };
 
 /// Build `regions` specs from a base config: region r is named
-/// "region<r>" and seeded derive_region_seed(base.scenario.seed, r) (the
-/// population seed follows the scenario seed, as everywhere else).
+/// "region<r>" and seeded derive_region_seed(base.scenario.seed, r).
 std::vector<region_spec> make_region_specs(const engine_config& base,
                                            std::size_t regions);
 
-/// Sum of per-region run stats.  Counters and duration totals add;
-/// max_migration_downtime_ms — a fleet-wide worst case — merges by max.
+/// Fleet totals of per-region run stats, each member merged by the rule
+/// its field list declares: counters and duration totals add, the
+/// worst-case figures (max_migration_downtime_ms, bp_peak_queue_len)
+/// take the max.
 run_stats merge_run_stats(std::span<const run_stats> per_region);
 
 struct region_export_report {

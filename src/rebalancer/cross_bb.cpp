@@ -32,14 +32,12 @@ std::vector<cross_bb_move> cross_bb_rebalancer::plan(
     }
 
     std::vector<cross_bb_move> moves;
-    // working copy of reserved memory so planned moves are reflected
-    std::map<bb_id, double> ram_ratio;
-    std::map<bb_id, mebibytes> ram_used;
-    for (bb_id bb : placement.providers()) {
-        ram_used[bb] = placement.usage(bb).ram_used_mib;
-    }
+    // working copy of every provider's usage, so each admission sees the
+    // moves planned before it, through claim()'s own predicate
+    std::map<bb_id, provider_usage> usage;
+    for (bb_id bb : placement.providers()) usage[bb] = placement.usage(bb);
     const auto ratio_of = [&](bb_id bb) {
-        return static_cast<double>(ram_used[bb]) /
+        return static_cast<double>(usage[bb].ram_used_mib) /
                static_cast<double>(placement.inventory(bb).total_ram_mib);
     };
     // VMs already planned to move must not be picked twice
@@ -83,18 +81,7 @@ std::vector<cross_bb_move> cross_bb_rebalancer::plan(
                 if (f.ram_mib > config_.heavy_vm_ram_mib) continue;
                 if (static_cast<double>(f.ram_mib) > gap_mib) continue;
                 // receiver admission under its allocation ratios
-                const provider_inventory& inv = placement.inventory(receiver);
-                const provider_usage& use = placement.usage(receiver);
-                const mebibytes receiver_ram =
-                    ram_used[receiver] + f.ram_mib;
-                if (static_cast<double>(receiver_ram) >
-                    static_cast<double>(inv.total_ram_mib) *
-                        inv.ram_allocation_ratio) {
-                    continue;
-                }
-                if (static_cast<double>(use.vcpus_used + f.vcpus) >
-                    static_cast<double>(inv.total_pcpus) *
-                        inv.cpu_allocation_ratio) {
+                if (!fits(placement.inventory(receiver), usage[receiver], f)) {
                     continue;
                 }
                 // migration feasibility (Section 3.2)
@@ -114,8 +101,8 @@ std::vector<cross_bb_move> cross_bb_rebalancer::plan(
             if (!best.valid()) break;
 
             const flavor& f = inputs.flavor_of(best);
-            ram_used[donor] -= f.ram_mib;
-            ram_used[receiver] += f.ram_mib;
+            charge(usage[donor], f, -1);
+            charge(usage[receiver], f, +1);
             already_moved.push_back(best);
             moves.push_back(cross_bb_move{best, donor, receiver, best_estimate});
         }

@@ -66,7 +66,10 @@ public:
     /// engine speculates the moves' destination nodes as a batch keyed on
     /// each target cluster's usage version (sim_engine::cross_bb_pass), so
     /// the plan must stay pure — any mutation here would invalidate the
-    /// whole batch on every pass.
+    /// whole batch on every pass.  Each move is admitted against a copy of
+    /// the usage table that already holds the moves planned before it,
+    /// through the predicate placement_service::claim enforces (sci::fits),
+    /// so every planned move's claim succeeds when applied in order.
     std::vector<cross_bb_move> plan(const placement_service& placement,
                                     const cross_bb_inputs& inputs) const;
 

@@ -48,15 +48,27 @@ const provider_usage& placement_service::usage(bb_id bb) const {
     return record(bb).usage;
 }
 
+bool fits(const provider_inventory& inventory, const provider_usage& usage,
+          const flavor& f) {
+    const double cpu_cap = static_cast<double>(inventory.total_pcpus) *
+                           inventory.cpu_allocation_ratio;
+    const double ram_cap = static_cast<double>(inventory.total_ram_mib) *
+                           inventory.ram_allocation_ratio;
+    return static_cast<double>(usage.vcpus_used + f.vcpus) <= cpu_cap &&
+           static_cast<double>(usage.ram_used_mib + f.ram_mib) <= ram_cap &&
+           usage.disk_used_gib + f.disk_gib <= inventory.total_disk_gib;
+}
+
+void charge(provider_usage& usage, const flavor& f, int sign) {
+    usage.vcpus_used += sign * f.vcpus;
+    usage.ram_used_mib += sign * f.ram_mib;
+    usage.disk_used_gib += sign * f.disk_gib;
+    usage.instances += sign;
+}
+
 bool placement_service::can_fit(bb_id bb, const flavor& f) const {
     const provider_record& r = record(bb);
-    const double cpu_cap = static_cast<double>(r.inventory.total_pcpus) *
-                           r.inventory.cpu_allocation_ratio;
-    const double ram_cap = static_cast<double>(r.inventory.total_ram_mib) *
-                           r.inventory.ram_allocation_ratio;
-    return static_cast<double>(r.usage.vcpus_used + f.vcpus) <= cpu_cap &&
-           static_cast<double>(r.usage.ram_used_mib + f.ram_mib) <= ram_cap &&
-           r.usage.disk_used_gib + f.disk_gib <= r.inventory.total_disk_gib;
+    return fits(r.inventory, r.usage, f);
 }
 
 void placement_service::claim(vm_id vm, bb_id bb, const flavor& f) {
@@ -73,11 +85,7 @@ void placement_service::reclaim(vm_id vm, bb_id bb, const flavor& f) {
     expects(vm.valid(), "placement_service::reclaim: invalid vm");
     expects(!allocations_.contains(vm),
             "placement_service::reclaim: vm already allocated");
-    provider_record& r = record(bb);
-    r.usage.vcpus_used += f.vcpus;
-    r.usage.ram_used_mib += f.ram_mib;
-    r.usage.disk_used_gib += f.disk_gib;
-    r.usage.instances += 1;
+    charge(record(bb).usage, f, +1);
     allocations_.emplace(vm, bb);
     ++version_;
 }
@@ -87,10 +95,7 @@ void placement_service::release(vm_id vm, const flavor& f) {
     expects(it != allocations_.end(),
             "placement_service::release: vm holds no allocation");
     provider_record& r = record(it->second);
-    r.usage.vcpus_used -= f.vcpus;
-    r.usage.ram_used_mib -= f.ram_mib;
-    r.usage.disk_used_gib -= f.disk_gib;
-    r.usage.instances -= 1;
+    charge(r.usage, f, -1);
     ensures(r.usage.vcpus_used >= 0 && r.usage.ram_used_mib >= 0 &&
                 r.usage.instances >= 0,
             "placement_service::release: usage went negative");

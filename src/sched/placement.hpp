@@ -37,6 +37,16 @@ struct provider_usage {
     int instances = 0;
 };
 
+/// Whether one more `f` fits `usage` within `inventory` under its
+/// allocation ratios: the predicate claim() enforces.  Planners that work
+/// on a copy of the usage table admit moves through it too, so a plan and
+/// the claims that carry it out cannot disagree.
+bool fits(const provider_inventory& inventory, const provider_usage& usage,
+          const flavor& f);
+
+/// Add (sign +1) or remove (sign -1) one `f` from a usage record.
+void charge(provider_usage& usage, const flavor& f, int sign);
+
 class placement_service {
 public:
     /// Register a building block as a resource provider.

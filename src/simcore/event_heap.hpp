@@ -1,21 +1,18 @@
 #pragma once
 
-// Typed discrete-event loop: the serializable sibling of event_queue.
+// Typed discrete-event loop.
 //
-// event_queue stores callbacks, which makes a mid-run checkpoint
-// impossible — a closure cannot be written to disk.  event_heap stores a
-// plain payload per entry and lets the driver interpret it (the engine
-// dispatches on an enum), so the complete pending-event set is data:
-// sorted_entries()/restore() move it in and out of a snapshot verbatim,
-// including reserved tie-break slots.
+// A callback cannot be written to disk, so event_heap stores a plain
+// payload per entry and lets the driver interpret it (the engine
+// dispatches on an enum).  The complete pending-event set is therefore
+// data: sorted_entries()/restore() move it in and out of a snapshot
+// verbatim, including reserved tie-break slots.
 //
-// Scheduling semantics are exactly event_queue's: events fire in (at,
-// seq) order, seq is allocated monotonically at schedule time (FIFO
-// among equal timestamps), and reserve_seq()/schedule_at_pinned() let a
-// self-rescheduling event keep a fixed tie-order slot.  There is no
-// cancel — the engine never cancels, and dropping the tombstone
-// machinery keeps every heap entry live (what a snapshot must capture
-// anyway).
+// Events fire in (at, seq) order, seq is allocated monotonically at
+// schedule time (FIFO among equal timestamps), and
+// reserve_seq()/schedule_at_pinned() let a self-rescheduling event keep a
+// fixed tie-order slot.  There is no cancel: the engine never cancels, so
+// every heap entry is live (what a snapshot must capture anyway).
 
 #include <cstdint>
 #include <queue>
@@ -43,7 +40,9 @@ public:
     }
 
     /// Reserve a tie-break sequence slot at the current allocation point
-    /// without scheduling anything (see event_queue::reserve_seq).
+    /// without scheduling anything.  A self-rescheduling event then
+    /// re-enters at this slot through schedule_at_pinned, so it keeps the
+    /// tie order of the event it stands in for.
     std::uint64_t reserve_seq() { return next_seq_++; }
 
     /// Schedule at `at` with an explicit reserved tie-break slot.  At most

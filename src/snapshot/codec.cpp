@@ -6,15 +6,26 @@
 // patterns (bit_cast), so serialization is lossless and deterministic —
 // equal states produce equal bytes and save·load·save is the identity.
 //
+// The payload layout is written down once: one `transfer` overload per
+// payload type names its members in wire order, and both directions run
+// it — byte_writer reads every member out, byte_reader assigns it.  Each
+// member is encoded by its C++ type (byte_writer::field).  The config and
+// run_stats rows come from the two field lists in core/engine.hpp, which
+// also say which format versions carry a member.
+//
 // Every read is length-checked before it happens and every failure mode
-// (bad magic, future version, truncation, checksum mismatch) throws
-// snapshot_error with a message naming the offending field — a corrupted
-// or future-version file can never walk the decoder into UB.
+// (bad magic, future version, truncation, checksum mismatch, an enum byte
+// past its type's last value) throws snapshot_error with a message naming
+// what was being read — a corrupted or future-version file can never walk
+// the decoder into UB.
 
 #include <bit>
+#include <concepts>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "simcore/rng.hpp"
 #include "snapshot/snapshot.hpp"
@@ -29,28 +40,228 @@ std::uint64_t checksum(std::span<const std::byte> payload) {
         reinterpret_cast<const char*>(payload.data()), payload.size()));
 }
 
+template <class T>
+constexpr bool is_optional = false;
+template <class T>
+constexpr bool is_optional<std::optional<T>> = true;
+template <class T>
+constexpr bool is_vector = false;
+template <class T>
+constexpr bool is_vector<std::vector<T>> = true;
+template <class T>
+constexpr bool is_pair = false;
+template <class A, class B>
+constexpr bool is_pair<std::pair<A, B>> = true;
+template <class T>
+constexpr bool is_id = false;
+template <class Tag>
+constexpr bool is_id<strong_id<Tag>> = true;
+
+// Every enum the payload carries: its last enumerator, for the reader's
+// range check, and the name its errors use.
+template <class E>
+struct enum_info {
+    E last;
+    std::string_view name;
+};
+constexpr enum_info<backpressure_mode> info_of(backpressure_mode) {
+    return {backpressure_mode::shed, "backpressure_mode"};
+}
+constexpr enum_info<fault_event_kind> info_of(fault_event_kind) {
+    return {fault_event_kind::az_outage_end, "fault_event_kind"};
+}
+constexpr enum_info<engine_event::action> info_of(engine_event::action) {
+    return {engine_event::action::drain_backpressure, "engine_event::action"};
+}
+constexpr enum_info<vm_state> info_of(vm_state) {
+    return {vm_state::error, "vm_state"};
+}
+constexpr enum_info<lifecycle_event_kind> info_of(lifecycle_event_kind) {
+    return {lifecycle_event_kind::shed, "lifecycle_event_kind"};
+}
+constexpr enum_info<schedule_fail_reason> info_of(schedule_fail_reason) {
+    return {schedule_fail_reason::ha_attempts_exhausted,
+            "schedule_fail_reason"};
+}
+constexpr enum_info<bp_request_kind> info_of(bp_request_kind) {
+    return {bp_request_kind::ha_restart, "bp_request_kind"};
+}
+
+// --- the payload layout, once for both directions ---------------------------
+
+/// S is T or const T: the writer runs an overload on const state, the
+/// reader on the state it fills.
+template <class S, class T>
+concept either = std::same_as<std::remove_const_t<S>, T>;
+
+/// engine_config and run_stats: the members their field lists declare
+/// for this format version, in list order.
+template <class Io, class S>
+    requires either<S, engine_config> || either<S, run_stats>
+void transfer(Io& io, S& s) {
+    for_each_field(
+        [&io](const field_info& f, auto& member) {
+            if (f.in_format(io.version())) io(member);
+        },
+        s);
+}
+
+template <class Io, either<fault_event> S>
+void transfer(Io& io, S& e) {
+    io(e.t, e.kind, e.node, e.az, e.cpu_factor);
+}
+
+template <class Io, either<engine_event> S>
+void transfer(Io& io, S& e) {
+    io(e.act, e.id, e.fault);
+}
+
+template <class Io, either<event_heap<engine_event>::entry> S>
+void transfer(Io& io, S& e) {
+    io(e.at, e.seq, e.payload);
+}
+
+template <class Io, either<vm_state_row> S>
+void transfer(Io& io, S& v) {
+    io(v.flavor, v.state, v.created_at, v.deleted_at, v.placed_bb,
+       v.placed_node, v.migration_count);
+}
+
+template <class Io, either<provider_usage> S>
+void transfer(Io& io, S& u) {
+    io(u.vcpus_used, u.ram_used_mib, u.disk_used_gib, u.instances);
+}
+
+template <class Io, either<cluster_state_row> S>
+void transfer(Io& io, S& c) {
+    io(c.migrations, c.aborts, c.usage_version);
+}
+
+template <class Io, either<node_state_row> S>
+void transfer(Io& io, S& n) {
+    io(n.accepting, n.residents, n.reserved_vcpus, n.reserved_ram_mib,
+       n.reserved_disk_gib);
+}
+
+template <class Io, either<running_stats::exact_state> S>
+void transfer(Io& io, S& s) {
+    io(s.count, s.sum, s.m2, s.mean, s.min, s.max);
+}
+
+template <class Io, either<sample> S>
+void transfer(Io& io, S& s) {
+    io(s.t, s.value);
+}
+
+template <class Io, either<series_state> S>
+void transfer(Io& io, S& row) {
+    io(row.metric, row.labels, row.daily_first, row.daily, row.hourly_first,
+       row.hourly, row.raw);
+}
+
+template <class Io, either<lifecycle_event> S>
+void transfer(Io& io, S& e) {
+    io(e.t, e.kind, e.vm, e.bb, e.from, e.to, e.reason);
+}
+
+template <class Io, either<host_speculation> S>
+void transfer(Io& io, S& s) {
+    io(s.valid, s.weigher_count, s.survivors, s.raws);
+}
+
+template <class Io, either<sim_engine::churn_batch_span> S>
+void transfer(Io& io, S& s) {
+    io(s.first, s.last, s.size);
+}
+
+template <class Io, either<ha_controller::pending_row> S>
+void transfer(Io& io, S& p) {
+    io(p.vm, p.crashed_at, p.attempts);
+}
+
+template <class Io, either<ha_group_state> S>
+void transfer(Io& io, S& g) {
+    io(g.due, g.victims);
+}
+
+template <class Io, either<bp_queued_request> S>
+void transfer(Io& io, S& q) {
+    io(q.vm, q.kind, q.priority, q.enqueued_at, q.deadline, q.deleted_at);
+}
+
+template <class Io, either<engine_state> S>
+void transfer(Io& io, S& s) {
+    io(s.config, s.region);
+    io(s.queue, s.now, s.next_seq, s.executed);
+    io(s.vms, s.provider_usages, s.allocations, s.placement_version,
+       s.placement_shrink_version);
+    io(s.sched_scheduled, s.sched_no_valid_host, s.sched_retries,
+       s.sched_transient_claim_failures, s.sched_speculative_placements,
+       s.sched_speculation_misses, s.claim_counts);
+    io(s.clusters, s.nodes);
+    io(s.series, s.shard_counters, s.raw_sealed_through);
+    io(s.events, s.stats);
+    io(s.arrival_cursor, s.arrival_drain_seq, s.window_spec_active,
+       s.spec_begin, s.spec_end, s.spec_shrink_version, s.spec_scrapes,
+       s.spec_slots, s.spec_claim_counts, s.churn_batch_spans);
+    io(s.has_ha, s.ha_pending, s.ha_downtime, s.ha_crashed, s.ha_restarted,
+       s.ha_abandoned, s.ha_cancelled, s.ha_failed_attempts, s.ha_groups,
+       s.ha_spec_active, s.ha_spec_vms, s.ha_spec_cursor,
+       s.ha_spec_shrink_version, s.ha_spec_scrapes, s.ha_spec_slots,
+       s.ha_spec_claim_counts, s.recovery_batch_spans);
+    io(s.node_down, s.node_az_down, s.node_cpu_factor, s.has_mig_abort_rng,
+       s.mig_abort_rng_state, s.has_claim_fault_rng, s.claim_fault_rng_state);
+    io(s.bb_contention_ewma);
+    if (io.version() >= 2) {  // backpressure arrived with format v2
+        io(s.has_bp, s.bp_queue, s.bp_regime, s.bp_transitions,
+           s.bp_drain_seq, s.bp_drain_armed);
+    }
+}
+
+// --- the two directions -----------------------------------------------------
+
 class byte_writer {
 public:
-    void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
-    void boolean(bool v) { u8(v ? 1 : 0); }
-    void u32(std::uint32_t v) { append(&v, sizeof v); }
-    void u64(std::uint64_t v) { append(&v, sizeof v); }
-    void i32(std::int32_t v) { append(&v, sizeof v); }
-    void i64(std::int64_t v) { append(&v, sizeof v); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(std::string_view s) {
-        u64(s.size());
-        append(s.data(), s.size());
+    std::uint32_t version() const { return format_version; }
+
+    template <class... T>
+    void operator()(const T&... values) {
+        (field(values), ...);
     }
-    template <typename Tag>
-    void id(strong_id<Tag> v) {
-        i32(v.valid() ? v.value() : -1);
+
+    /// One value, encoded by its type: bools as u8 0/1, enums as their u8
+    /// value, doubles as bit patterns, other integers little-endian at
+    /// their own width, ids as i32 (-1 = invalid), strings and vectors as
+    /// a u64 length then the elements, optionals as a presence bool then
+    /// the value, pairs and structs member by member.
+    template <class T>
+    void field(const T& v) {
+        if constexpr (is_optional<T>) {
+            field(v.has_value());
+            if (v.has_value()) field(*v);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            field(static_cast<std::uint8_t>(v ? 1 : 0));
+        } else if constexpr (std::is_enum_v<T>) {
+            field(static_cast<std::uint8_t>(v));
+        } else if constexpr (std::is_same_v<T, double>) {
+            field(std::bit_cast<std::uint64_t>(v));
+        } else if constexpr (std::is_integral_v<T>) {
+            append(&v, sizeof v);
+        } else if constexpr (is_id<T>) {
+            field(v.valid() ? v.value() : std::int32_t{-1});
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            field(static_cast<std::uint64_t>(v.size()));
+            append(v.data(), v.size());
+        } else if constexpr (is_vector<T>) {
+            field(static_cast<std::uint64_t>(v.size()));
+            for (const auto& element : v) field(element);
+        } else if constexpr (is_pair<T>) {
+            field(v.first);
+            field(v.second);
+        } else {
+            transfer(*this, v);
+        }
     }
-    void opt_i64(const std::optional<sim_time>& v) {
-        boolean(v.has_value());
-        if (v.has_value()) i64(*v);
-    }
-    void size(std::size_t n) { u64(n); }
 
     std::vector<std::byte> take() { return std::move(buf_); }
 
@@ -62,47 +273,97 @@ private:
     std::vector<std::byte> buf_;
 };
 
+/// Bytes a default T takes on the wire: the least any T can take, since
+/// only containers and optionals grow.  Bounds container lengths read
+/// from untrusted input before anything is allocated.
+template <class T>
+std::size_t min_wire_size() {
+    static const std::size_t size = [] {
+        byte_writer w;
+        w.field(T{});
+        return w.take().size();
+    }();
+    return size;
+}
+
 class byte_reader {
 public:
-    explicit byte_reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
+    byte_reader(std::span<const std::byte> bytes, std::uint32_t version)
+        : bytes_(bytes), version_(version) {}
 
-    std::uint8_t u8() {
-        need(1, "u8");
-        return static_cast<std::uint8_t>(bytes_[pos_++]);
+    std::uint32_t version() const { return version_; }
+    std::size_t remaining() const { return bytes_.size() - pos_; }
+
+    template <class... T>
+    void operator()(T&... values) {
+        (field(values), ...);
     }
-    bool boolean() {
-        const std::uint8_t v = u8();
-        if (v > 1) throw snapshot_error("snapshot: malformed bool value");
-        return v != 0;
+
+    /// Inverse of byte_writer::field.
+    template <class T>
+    void field(T& v) {
+        if constexpr (is_optional<T>) {
+            bool present = false;
+            field(present);
+            v.reset();
+            if (present) field(v.emplace());
+        } else if constexpr (std::is_same_v<T, bool>) {
+            const auto raw = scalar<std::uint8_t>();
+            if (raw > 1) throw snapshot_error("snapshot: malformed bool value");
+            v = raw != 0;
+        } else if constexpr (std::is_enum_v<T>) {
+            const enum_info<T> info = info_of(T{});
+            const auto raw = scalar<std::uint8_t>();
+            if (raw > static_cast<std::uint8_t>(info.last)) {
+                throw snapshot_error("snapshot: out-of-range " +
+                                     std::string(info.name) + " value " +
+                                     std::to_string(raw));
+            }
+            v = static_cast<T>(raw);
+        } else if constexpr (std::is_same_v<T, double>) {
+            v = std::bit_cast<double>(scalar<std::uint64_t>());
+        } else if constexpr (std::is_integral_v<T>) {
+            v = scalar<T>();
+        } else if constexpr (is_id<T>) {
+            v = T(scalar<std::int32_t>());
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            const auto n = scalar<std::uint64_t>();
+            need(n);
+            v.assign(reinterpret_cast<const char*>(bytes_.data() + pos_),
+                     static_cast<std::size_t>(n));
+            pos_ += static_cast<std::size_t>(n);
+        } else if constexpr (is_vector<T>) {
+            v.resize(count(min_wire_size<typename T::value_type>()));
+            for (auto& element : v) field(element);
+        } else if constexpr (is_pair<T>) {
+            field(v.first);
+            field(v.second);
+        } else {
+            transfer(*this, v);
+        }
     }
-    std::uint32_t u32() { return scalar<std::uint32_t>("u32"); }
-    std::uint64_t u64() { return scalar<std::uint64_t>("u64"); }
-    std::int32_t i32() { return scalar<std::int32_t>("i32"); }
-    std::int64_t i64() { return scalar<std::int64_t>("i64"); }
-    double f64() { return std::bit_cast<double>(u64()); }
-    std::string str() {
-        const std::uint64_t n = u64();
-        need(n, "string body");
-        std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_),
-                      static_cast<std::size_t>(n));
-        pos_ += static_cast<std::size_t>(n);
-        return s;
+
+private:
+    template <class T>
+    T scalar() {
+        need(sizeof(T));
+        T v;
+        std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
+        pos_ += sizeof(T);
+        return v;
     }
-    template <typename Tag>
-    strong_id<Tag> id() {
-        return strong_id<Tag>(i32());
+    void need(std::uint64_t n) const {
+        if (n > remaining()) {
+            throw snapshot_error("snapshot: truncated input (" +
+                                 std::to_string(n) + " bytes needed, " +
+                                 std::to_string(remaining()) + " left)");
+        }
     }
-    std::optional<sim_time> opt_i64() {
-        if (!boolean()) return std::nullopt;
-        return i64();
-    }
-    /// Element count of a container about to be read.  `min_bytes` is the
-    /// smallest serialized size of one element — bounding the count by the
-    /// remaining bytes rejects absurd lengths from corrupted input before
-    /// any allocation.
-    std::size_t size(std::size_t min_bytes) {
-        const std::uint64_t n = u64();
-        if (min_bytes > 0 && n > remaining() / min_bytes) {
+    /// Element count of a container about to be read, rejected when even
+    /// elements of `min_bytes` each could not fit in what is left.
+    std::size_t count(std::size_t min_bytes) {
+        const auto n = scalar<std::uint64_t>();
+        if (n > remaining() / min_bytes) {
             throw snapshot_error(
                 "snapshot: truncated input (container length exceeds "
                 "remaining bytes)");
@@ -110,744 +371,21 @@ public:
         return static_cast<std::size_t>(n);
     }
 
-    std::size_t remaining() const { return bytes_.size() - pos_; }
-
-private:
-    template <typename T>
-    T scalar(const char* what) {
-        need(sizeof(T), what);
-        T v;
-        std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-        pos_ += sizeof(T);
-        return v;
-    }
-    void need(std::uint64_t n, const char* what) {
-        if (n > remaining()) {
-            throw snapshot_error(std::string("snapshot: truncated input "
-                                             "(reading ") +
-                                 what + ")");
-        }
-    }
-
     std::span<const std::byte> bytes_;
     std::size_t pos_ = 0;
+    std::uint32_t version_;
 };
-
-// --- config ------------------------------------------------------------------
-
-void write_config(byte_writer& w, const engine_config& c) {
-    w.f64(c.scenario.scale);
-    w.u64(c.scenario.seed);
-    w.f64(c.scenario.hana_node_fraction);
-    w.f64(c.scenario.dedicated_xl_node_fraction);
-    w.f64(c.scenario.reserve_node_fraction);
-    w.i64(c.sampling_interval);
-    w.i64(c.drs_interval);
-    w.f64(c.drs.imbalance_threshold);
-    w.i32(c.drs.max_migrations_per_pass);
-    w.i64(c.drs.heavy_vm_ram_mib);
-    w.f64(c.drs.min_gain);
-    w.f64(c.drs.cpu_allocation_ratio);
-    w.f64(c.drs.ram_allocation_ratio);
-    w.boolean(c.drs.enabled);
-    w.boolean(c.drs.pack_memory);
-    w.i32(c.store.days);
-    w.boolean(c.store.keep_raw);
-    w.i32(c.population.initial_population);
-    w.f64(c.population.daily_churn_fraction);
-    w.i32(c.population.project_count);
-    w.u64(c.population.seed);
-    w.boolean(c.contention_aware);
-    w.f64(c.contention_filter_threshold_pct);
-    w.boolean(c.holistic);
-    w.boolean(c.lifetime_aware);
-    w.f64(c.node_churn_fraction);
-    w.f64(c.daily_resize_fraction);
-    w.boolean(c.gp_cpu_allocation_ratio_override.has_value());
-    if (c.gp_cpu_allocation_ratio_override.has_value()) {
-        w.f64(*c.gp_cpu_allocation_ratio_override);
-    }
-    w.i64(c.cross_bb_interval);
-    w.f64(c.cross_bb.target_ram_spread);
-    w.i32(c.cross_bb.max_moves_per_pass);
-    w.i64(c.cross_bb.heavy_vm_ram_mib);
-    w.f64(c.cross_bb.max_downtime_ms);
-    w.f64(c.cross_bb.cost.bandwidth_mib_per_s);
-    w.i64(c.cross_bb.cost.stop_and_copy_mib);
-    w.i32(c.cross_bb.cost.max_precopy_rounds);
-    w.f64(c.migration_cost.bandwidth_mib_per_s);
-    w.i64(c.migration_cost.stop_and_copy_mib);
-    w.i32(c.migration_cost.max_precopy_rounds);
-    w.boolean(c.threads.has_value());
-    if (c.threads.has_value()) w.u32(*c.threads);
-    w.f64(c.fault.host_crash_rate_per_day);
-    w.f64(c.fault.claim_failure_probability);
-    w.f64(c.fault.migration_abort_probability);
-    w.f64(c.fault.degraded_node_fraction);
-    w.f64(c.fault.degraded_cpu_factor);
-    w.i32(c.fault.maintenance_windows);
-    w.i64(c.fault.maintenance_duration);
-    w.i32(c.fault.az_outages);
-    w.i64(c.fault.az_outage_at);
-    w.i64(c.fault.az_outage_repair_time);
-    w.i64(c.fault.ha_restart_delay);
-    w.i64(c.fault.ha_retry_backoff);
-    w.i32(c.fault.ha_max_restart_attempts);
-    w.i64(c.fault.crash_repair_time);
-    w.u8(static_cast<std::uint8_t>(c.backpressure.mode));
-    w.u32(c.backpressure.queue_capacity);
-    w.i64(c.backpressure.queue_deadline);
-}
-
-engine_config read_config(byte_reader& r, std::uint32_t version) {
-    engine_config c;
-    c.scenario.scale = r.f64();
-    c.scenario.seed = r.u64();
-    c.scenario.hana_node_fraction = r.f64();
-    c.scenario.dedicated_xl_node_fraction = r.f64();
-    c.scenario.reserve_node_fraction = r.f64();
-    c.sampling_interval = r.i64();
-    c.drs_interval = r.i64();
-    c.drs.imbalance_threshold = r.f64();
-    c.drs.max_migrations_per_pass = r.i32();
-    c.drs.heavy_vm_ram_mib = r.i64();
-    c.drs.min_gain = r.f64();
-    c.drs.cpu_allocation_ratio = r.f64();
-    c.drs.ram_allocation_ratio = r.f64();
-    c.drs.enabled = r.boolean();
-    c.drs.pack_memory = r.boolean();
-    c.store.days = r.i32();
-    c.store.keep_raw = r.boolean();
-    c.population.initial_population = r.i32();
-    c.population.daily_churn_fraction = r.f64();
-    c.population.project_count = r.i32();
-    c.population.seed = r.u64();
-    c.contention_aware = r.boolean();
-    c.contention_filter_threshold_pct = r.f64();
-    c.holistic = r.boolean();
-    c.lifetime_aware = r.boolean();
-    c.node_churn_fraction = r.f64();
-    c.daily_resize_fraction = r.f64();
-    if (r.boolean()) c.gp_cpu_allocation_ratio_override = r.f64();
-    c.cross_bb_interval = r.i64();
-    c.cross_bb.target_ram_spread = r.f64();
-    c.cross_bb.max_moves_per_pass = r.i32();
-    c.cross_bb.heavy_vm_ram_mib = r.i64();
-    c.cross_bb.max_downtime_ms = r.f64();
-    c.cross_bb.cost.bandwidth_mib_per_s = r.f64();
-    c.cross_bb.cost.stop_and_copy_mib = r.i64();
-    c.cross_bb.cost.max_precopy_rounds = r.i32();
-    c.migration_cost.bandwidth_mib_per_s = r.f64();
-    c.migration_cost.stop_and_copy_mib = r.i64();
-    c.migration_cost.max_precopy_rounds = r.i32();
-    if (r.boolean()) c.threads = r.u32();
-    c.fault.host_crash_rate_per_day = r.f64();
-    c.fault.claim_failure_probability = r.f64();
-    c.fault.migration_abort_probability = r.f64();
-    c.fault.degraded_node_fraction = r.f64();
-    c.fault.degraded_cpu_factor = r.f64();
-    c.fault.maintenance_windows = r.i32();
-    c.fault.maintenance_duration = r.i64();
-    c.fault.az_outages = r.i32();
-    c.fault.az_outage_at = r.i64();
-    c.fault.az_outage_repair_time = r.i64();
-    c.fault.ha_restart_delay = r.i64();
-    c.fault.ha_retry_backoff = r.i64();
-    c.fault.ha_max_restart_attempts = r.i32();
-    c.fault.crash_repair_time = r.i64();
-    if (version >= 2) {
-        c.backpressure.mode = static_cast<backpressure_mode>(r.u8());
-        c.backpressure.queue_capacity = r.u32();
-        c.backpressure.queue_deadline = r.i64();
-    }
-    return c;
-}
-
-// --- small composites --------------------------------------------------------
-
-void write_fault_event(byte_writer& w, const fault_event& e) {
-    w.i64(e.t);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.id(e.node);
-    w.id(e.az);
-    w.f64(e.cpu_factor);
-}
-
-fault_event read_fault_event(byte_reader& r) {
-    fault_event e;
-    e.t = r.i64();
-    e.kind = static_cast<fault_event_kind>(r.u8());
-    e.node = r.id<node_tag>();
-    e.az = r.id<az_tag>();
-    e.cpu_factor = r.f64();
-    return e;
-}
-
-void write_event(byte_writer& w, const engine_event& e) {
-    w.u8(static_cast<std::uint8_t>(e.act));
-    w.i32(e.id);
-    write_fault_event(w, e.fault);
-}
-
-engine_event read_event(byte_reader& r) {
-    engine_event e;
-    e.act = static_cast<engine_event::action>(r.u8());
-    e.id = r.i32();
-    e.fault = read_fault_event(r);
-    return e;
-}
-
-void write_exact(byte_writer& w, const running_stats::exact_state& s) {
-    w.u64(s.count);
-    w.f64(s.sum);
-    w.f64(s.m2);
-    w.f64(s.mean);
-    w.f64(s.min);
-    w.f64(s.max);
-}
-
-running_stats::exact_state read_exact(byte_reader& r) {
-    running_stats::exact_state s;
-    s.count = r.u64();
-    s.sum = r.f64();
-    s.m2 = r.f64();
-    s.mean = r.f64();
-    s.min = r.f64();
-    s.max = r.f64();
-    return s;
-}
-
-void write_speculation(byte_writer& w, const host_speculation& s) {
-    w.boolean(s.valid);
-    w.u32(s.weigher_count);
-    w.size(s.survivors.size());
-    for (const std::uint32_t v : s.survivors) w.u32(v);
-    w.size(s.raws.size());
-    for (const double v : s.raws) w.f64(v);
-}
-
-host_speculation read_speculation(byte_reader& r) {
-    host_speculation s;
-    s.valid = r.boolean();
-    s.weigher_count = r.u32();
-    s.survivors.resize(r.size(sizeof(std::uint32_t)));
-    for (std::uint32_t& v : s.survivors) v = r.u32();
-    s.raws.resize(r.size(sizeof(std::uint64_t)));
-    for (double& v : s.raws) v = r.f64();
-    return s;
-}
-
-void write_span_row(byte_writer& w, const sim_engine::churn_batch_span& s) {
-    w.i64(s.first);
-    w.i64(s.last);
-    w.u32(s.size);
-}
-
-sim_engine::churn_batch_span read_span_row(byte_reader& r) {
-    sim_engine::churn_batch_span s;
-    s.first = r.i64();
-    s.last = r.i64();
-    s.size = r.u32();
-    return s;
-}
-
-void write_run_stats(byte_writer& w, const run_stats& s) {
-    w.u64(s.placements);
-    w.u64(s.placement_failures);
-    w.u64(s.scheduler_retries);
-    w.u64(s.drs_migrations);
-    w.u64(s.evacuations);
-    w.u64(s.forced_fits);
-    w.u64(s.holistic_claim_rejections);
-    w.u64(s.deletions);
-    w.u64(s.scrapes);
-    w.u64(s.cross_bb_moves);
-    w.u64(s.resizes);
-    w.u64(s.resize_failures);
-    w.f64(s.migration_seconds);
-    w.f64(s.max_migration_downtime_ms);
-    w.u64(s.speculative_placements);
-    w.u64(s.speculation_misses);
-    w.f64(s.initial_placement_wall_ms);
-    w.u64(s.window_batches);
-    w.u64(s.window_speculations);
-    w.u64(s.window_speculative_placements);
-    w.u64(s.window_speculation_misses);
-    w.u64(s.window_speculation_invalidated);
-    w.f64(s.churn_placement_wall_ms);
-    w.u64(s.recovery_batches);
-    w.u64(s.recovery_speculations);
-    w.u64(s.recovery_speculative_placements);
-    w.u64(s.recovery_speculation_misses);
-    w.u64(s.recovery_speculation_invalidated);
-    w.u64(s.recovery_speculation_cancelled);
-    w.f64(s.recovery_placement_wall_ms);
-    w.u64(s.rebalance_target_speculations);
-    w.u64(s.rebalance_targets_used);
-    w.u64(s.rebalance_target_invalidated);
-    w.u64(s.az_outages);
-    w.u64(s.host_crashes);
-    w.u64(s.crash_victims);
-    w.u64(s.ha_restarts);
-    w.u64(s.ha_restart_failures);
-    w.u64(s.migration_aborts);
-    w.u64(s.maintenance_evacuations);
-    w.f64(s.wasted_migration_seconds);
-    w.u64(s.bp_enqueued);
-    w.u64(s.bp_queue_placed);
-    w.u64(s.bp_shed_deadline);
-    w.u64(s.bp_shed_queue_full);
-    w.u64(s.bp_shed_evicted);
-    w.u64(s.bp_cancelled);
-    w.u64(s.bp_regime_transitions);
-    w.u64(s.bp_peak_queue_len);
-    w.u64(s.ha_give_ups);
-}
-
-run_stats read_run_stats(byte_reader& r, std::uint32_t version) {
-    run_stats s;
-    s.placements = r.u64();
-    s.placement_failures = r.u64();
-    s.scheduler_retries = r.u64();
-    s.drs_migrations = r.u64();
-    s.evacuations = r.u64();
-    s.forced_fits = r.u64();
-    s.holistic_claim_rejections = r.u64();
-    s.deletions = r.u64();
-    s.scrapes = r.u64();
-    s.cross_bb_moves = r.u64();
-    s.resizes = r.u64();
-    s.resize_failures = r.u64();
-    s.migration_seconds = r.f64();
-    s.max_migration_downtime_ms = r.f64();
-    s.speculative_placements = r.u64();
-    s.speculation_misses = r.u64();
-    s.initial_placement_wall_ms = r.f64();
-    s.window_batches = r.u64();
-    s.window_speculations = r.u64();
-    s.window_speculative_placements = r.u64();
-    s.window_speculation_misses = r.u64();
-    s.window_speculation_invalidated = r.u64();
-    s.churn_placement_wall_ms = r.f64();
-    s.recovery_batches = r.u64();
-    s.recovery_speculations = r.u64();
-    s.recovery_speculative_placements = r.u64();
-    s.recovery_speculation_misses = r.u64();
-    s.recovery_speculation_invalidated = r.u64();
-    s.recovery_speculation_cancelled = r.u64();
-    s.recovery_placement_wall_ms = r.f64();
-    s.rebalance_target_speculations = r.u64();
-    s.rebalance_targets_used = r.u64();
-    s.rebalance_target_invalidated = r.u64();
-    s.az_outages = r.u64();
-    s.host_crashes = r.u64();
-    s.crash_victims = r.u64();
-    s.ha_restarts = r.u64();
-    s.ha_restart_failures = r.u64();
-    s.migration_aborts = r.u64();
-    s.maintenance_evacuations = r.u64();
-    s.wasted_migration_seconds = r.f64();
-    if (version >= 2) {
-        s.bp_enqueued = r.u64();
-        s.bp_queue_placed = r.u64();
-        s.bp_shed_deadline = r.u64();
-        s.bp_shed_queue_full = r.u64();
-        s.bp_shed_evicted = r.u64();
-        s.bp_cancelled = r.u64();
-        s.bp_regime_transitions = r.u64();
-        s.bp_peak_queue_len = r.u64();
-        s.ha_give_ups = r.u64();
-    }
-    return s;
-}
-
-void write_payload(byte_writer& w, const engine_state& s) {
-    write_config(w, s.config);
-    w.str(s.region);
-
-    w.size(s.queue.size());
-    for (const auto& e : s.queue) {
-        w.i64(e.at);
-        w.u64(e.seq);
-        write_event(w, e.payload);
-    }
-    w.i64(s.now);
-    w.u64(s.next_seq);
-    w.u64(s.executed);
-
-    w.size(s.vms.size());
-    for (const vm_state_row& v : s.vms) {
-        w.id(v.flavor);
-        w.u8(static_cast<std::uint8_t>(v.state));
-        w.i64(v.created_at);
-        w.opt_i64(v.deleted_at);
-        w.id(v.placed_bb);
-        w.id(v.placed_node);
-        w.i32(v.migration_count);
-    }
-
-    w.size(s.provider_usages.size());
-    for (const provider_usage& u : s.provider_usages) {
-        w.i32(u.vcpus_used);
-        w.i64(u.ram_used_mib);
-        w.f64(u.disk_used_gib);
-        w.i32(u.instances);
-    }
-    w.size(s.allocations.size());
-    for (const auto& [vm, bb] : s.allocations) {
-        w.id(vm);
-        w.id(bb);
-    }
-    w.u64(s.placement_version);
-    w.u64(s.placement_shrink_version);
-
-    w.u64(s.sched_scheduled);
-    w.u64(s.sched_no_valid_host);
-    w.u64(s.sched_retries);
-    w.u64(s.sched_transient_claim_failures);
-    w.u64(s.sched_speculative_placements);
-    w.u64(s.sched_speculation_misses);
-    w.size(s.claim_counts.size());
-    for (const std::uint64_t c : s.claim_counts) w.u64(c);
-
-    w.size(s.clusters.size());
-    for (const cluster_state_row& c : s.clusters) {
-        w.u64(c.migrations);
-        w.u64(c.aborts);
-        w.u64(c.usage_version);
-    }
-    w.size(s.nodes.size());
-    for (const node_state_row& n : s.nodes) {
-        w.boolean(n.accepting);
-        w.size(n.residents.size());
-        for (const vm_id vm : n.residents) w.id(vm);
-        w.i32(n.reserved_vcpus);
-        w.i64(n.reserved_ram_mib);
-        w.f64(n.reserved_disk_gib);
-    }
-
-    w.size(s.series.size());
-    for (const series_state& row : s.series) {
-        w.str(row.metric);
-        w.size(row.labels.size());
-        for (const auto& [k, v] : row.labels) {
-            w.str(k);
-            w.str(v);
-        }
-        w.i32(row.daily_first);
-        w.size(row.daily.size());
-        for (const auto& d : row.daily) write_exact(w, d);
-        w.i32(row.hourly_first);
-        w.size(row.hourly.size());
-        for (const auto& h : row.hourly) write_exact(w, h);
-        w.size(row.raw.size());
-        for (const sample& smp : row.raw) {
-            w.i64(smp.t);
-            w.f64(smp.value);
-        }
-    }
-    w.size(s.shard_counters.size());
-    for (const auto& [appended, dropped] : s.shard_counters) {
-        w.u64(appended);
-        w.u64(dropped);
-    }
-    w.i32(s.raw_sealed_through);
-
-    w.size(s.events.size());
-    for (const lifecycle_event& e : s.events) {
-        w.i64(e.t);
-        w.u8(static_cast<std::uint8_t>(e.kind));
-        w.id(e.vm);
-        w.id(e.bb);
-        w.id(e.from);
-        w.id(e.to);
-        w.u8(static_cast<std::uint8_t>(e.reason));
-    }
-    write_run_stats(w, s.stats);
-
-    w.u64(s.arrival_cursor);
-    w.u64(s.arrival_drain_seq);
-    w.boolean(s.window_spec_active);
-    w.u64(s.spec_begin);
-    w.u64(s.spec_end);
-    w.u64(s.spec_shrink_version);
-    w.u64(s.spec_scrapes);
-    w.size(s.spec_slots.size());
-    for (const host_speculation& slot : s.spec_slots) {
-        write_speculation(w, slot);
-    }
-    w.size(s.spec_claim_counts.size());
-    for (const std::uint64_t c : s.spec_claim_counts) w.u64(c);
-    w.size(s.churn_batch_spans.size());
-    for (const auto& span : s.churn_batch_spans) write_span_row(w, span);
-
-    w.boolean(s.has_ha);
-    w.size(s.ha_pending.size());
-    for (const ha_controller::pending_row& p : s.ha_pending) {
-        w.id(p.vm);
-        w.i64(p.crashed_at);
-        w.i32(p.attempts);
-    }
-    w.size(s.ha_downtime.size());
-    for (const double d : s.ha_downtime) w.f64(d);
-    w.u64(s.ha_crashed);
-    w.u64(s.ha_restarted);
-    w.u64(s.ha_abandoned);
-    w.u64(s.ha_cancelled);
-    w.u64(s.ha_failed_attempts);
-    w.size(s.ha_groups.size());
-    for (const ha_group_state& g : s.ha_groups) {
-        w.i64(g.due);
-        w.size(g.victims.size());
-        for (const vm_id vm : g.victims) w.id(vm);
-    }
-    w.boolean(s.ha_spec_active);
-    w.size(s.ha_spec_vms.size());
-    for (const vm_id vm : s.ha_spec_vms) w.id(vm);
-    w.u64(s.ha_spec_cursor);
-    w.u64(s.ha_spec_shrink_version);
-    w.u64(s.ha_spec_scrapes);
-    w.size(s.ha_spec_slots.size());
-    for (const host_speculation& slot : s.ha_spec_slots) {
-        write_speculation(w, slot);
-    }
-    w.size(s.ha_spec_claim_counts.size());
-    for (const std::uint64_t c : s.ha_spec_claim_counts) w.u64(c);
-    w.size(s.recovery_batch_spans.size());
-    for (const auto& span : s.recovery_batch_spans) write_span_row(w, span);
-
-    w.size(s.node_down.size());
-    for (const char v : s.node_down) w.u8(static_cast<std::uint8_t>(v));
-    w.size(s.node_az_down.size());
-    for (const char v : s.node_az_down) w.u8(static_cast<std::uint8_t>(v));
-    w.size(s.node_cpu_factor.size());
-    for (const double v : s.node_cpu_factor) w.f64(v);
-    w.boolean(s.has_mig_abort_rng);
-    w.str(s.mig_abort_rng_state);
-    w.boolean(s.has_claim_fault_rng);
-    w.str(s.claim_fault_rng_state);
-
-    w.size(s.bb_contention_ewma.size());
-    for (const double v : s.bb_contention_ewma) w.f64(v);
-
-    // backpressure (format v2)
-    w.boolean(s.has_bp);
-    w.size(s.bp_queue.size());
-    for (const bp_queued_request& q : s.bp_queue) {
-        w.id(q.vm);
-        w.u8(static_cast<std::uint8_t>(q.kind));
-        w.i32(q.priority);
-        w.i64(q.enqueued_at);
-        w.i64(q.deadline);
-        w.i64(q.deleted_at);
-    }
-    w.u8(s.bp_regime);
-    w.size(s.bp_transitions.size());
-    for (const sim_time t : s.bp_transitions) w.i64(t);
-    w.u64(s.bp_drain_seq);
-    w.boolean(s.bp_drain_armed);
-}
-
-engine_state read_payload(byte_reader& r, std::uint32_t version) {
-    engine_state s;
-    s.config = read_config(r, version);
-    s.region = r.str();
-
-    s.queue.resize(r.size(8 + 8 + 1));
-    for (auto& e : s.queue) {
-        e.at = r.i64();
-        e.seq = r.u64();
-        e.payload = read_event(r);
-    }
-    s.now = r.i64();
-    s.next_seq = r.u64();
-    s.executed = r.u64();
-
-    s.vms.resize(r.size(4 + 1 + 8 + 1 + 4 + 4 + 4));
-    for (vm_state_row& v : s.vms) {
-        v.flavor = r.id<flavor_tag>();
-        v.state = static_cast<vm_state>(r.u8());
-        v.created_at = r.i64();
-        v.deleted_at = r.opt_i64();
-        v.placed_bb = r.id<bb_tag>();
-        v.placed_node = r.id<node_tag>();
-        v.migration_count = r.i32();
-    }
-
-    s.provider_usages.resize(r.size(4 + 8 + 8 + 4));
-    for (provider_usage& u : s.provider_usages) {
-        u.vcpus_used = r.i32();
-        u.ram_used_mib = r.i64();
-        u.disk_used_gib = r.f64();
-        u.instances = r.i32();
-    }
-    s.allocations.resize(r.size(4 + 4));
-    for (auto& [vm, bb] : s.allocations) {
-        vm = r.id<vm_tag>();
-        bb = r.id<bb_tag>();
-    }
-    s.placement_version = r.u64();
-    s.placement_shrink_version = r.u64();
-
-    s.sched_scheduled = r.u64();
-    s.sched_no_valid_host = r.u64();
-    s.sched_retries = r.u64();
-    s.sched_transient_claim_failures = r.u64();
-    s.sched_speculative_placements = r.u64();
-    s.sched_speculation_misses = r.u64();
-    s.claim_counts.resize(r.size(8));
-    for (std::uint64_t& c : s.claim_counts) c = r.u64();
-
-    s.clusters.resize(r.size(8 + 8 + 8));
-    for (cluster_state_row& c : s.clusters) {
-        c.migrations = r.u64();
-        c.aborts = r.u64();
-        c.usage_version = r.u64();
-    }
-    s.nodes.resize(r.size(1 + 8 + 4 + 8 + 8));
-    for (node_state_row& n : s.nodes) {
-        n.accepting = r.boolean();
-        n.residents.resize(r.size(4));
-        for (vm_id& vm : n.residents) vm = r.id<vm_tag>();
-        n.reserved_vcpus = r.i32();
-        n.reserved_ram_mib = r.i64();
-        n.reserved_disk_gib = r.f64();
-    }
-
-    s.series.resize(r.size(8 + 8 + 4 + 8 + 4 + 8 + 8));
-    for (series_state& row : s.series) {
-        row.metric = r.str();
-        row.labels.resize(r.size(8 + 8));
-        for (auto& [k, v] : row.labels) {
-            k = r.str();
-            v = r.str();
-        }
-        row.daily_first = r.i32();
-        row.daily.resize(r.size(6 * 8));
-        for (auto& d : row.daily) d = read_exact(r);
-        row.hourly_first = r.i32();
-        row.hourly.resize(r.size(6 * 8));
-        for (auto& h : row.hourly) h = read_exact(r);
-        row.raw.resize(r.size(8 + 8));
-        for (sample& smp : row.raw) {
-            smp.t = r.i64();
-            smp.value = r.f64();
-        }
-    }
-    s.shard_counters.resize(r.size(8 + 8));
-    for (auto& [appended, dropped] : s.shard_counters) {
-        appended = r.u64();
-        dropped = r.u64();
-    }
-    s.raw_sealed_through = r.i32();
-
-    s.events.resize(r.size(8 + 1 + 4 + 4 + 4 + 4 + 1));
-    for (lifecycle_event& e : s.events) {
-        e.t = r.i64();
-        e.kind = static_cast<lifecycle_event_kind>(r.u8());
-        e.vm = r.id<vm_tag>();
-        e.bb = r.id<bb_tag>();
-        e.from = r.id<node_tag>();
-        e.to = r.id<node_tag>();
-        e.reason = static_cast<schedule_fail_reason>(r.u8());
-    }
-    s.stats = read_run_stats(r, version);
-
-    s.arrival_cursor = r.u64();
-    s.arrival_drain_seq = r.u64();
-    s.window_spec_active = r.boolean();
-    s.spec_begin = r.u64();
-    s.spec_end = r.u64();
-    s.spec_shrink_version = r.u64();
-    s.spec_scrapes = r.u64();
-    s.spec_slots.resize(r.size(1 + 4 + 8 + 8));
-    for (host_speculation& slot : s.spec_slots) slot = read_speculation(r);
-    s.spec_claim_counts.resize(r.size(8));
-    for (std::uint64_t& c : s.spec_claim_counts) c = r.u64();
-    s.churn_batch_spans.resize(r.size(8 + 8 + 4));
-    for (auto& span : s.churn_batch_spans) span = read_span_row(r);
-
-    s.has_ha = r.boolean();
-    s.ha_pending.resize(r.size(4 + 8 + 4));
-    for (ha_controller::pending_row& p : s.ha_pending) {
-        p.vm = r.id<vm_tag>();
-        p.crashed_at = r.i64();
-        p.attempts = r.i32();
-    }
-    s.ha_downtime.resize(r.size(8));
-    for (double& d : s.ha_downtime) d = r.f64();
-    s.ha_crashed = r.u64();
-    s.ha_restarted = r.u64();
-    s.ha_abandoned = r.u64();
-    s.ha_cancelled = r.u64();
-    s.ha_failed_attempts = r.u64();
-    s.ha_groups.resize(r.size(8 + 8));
-    for (ha_group_state& g : s.ha_groups) {
-        g.due = r.i64();
-        g.victims.resize(r.size(4));
-        for (vm_id& vm : g.victims) vm = r.id<vm_tag>();
-    }
-    s.ha_spec_active = r.boolean();
-    s.ha_spec_vms.resize(r.size(4));
-    for (vm_id& vm : s.ha_spec_vms) vm = r.id<vm_tag>();
-    s.ha_spec_cursor = r.u64();
-    s.ha_spec_shrink_version = r.u64();
-    s.ha_spec_scrapes = r.u64();
-    s.ha_spec_slots.resize(r.size(1 + 4 + 8 + 8));
-    for (host_speculation& slot : s.ha_spec_slots) {
-        slot = read_speculation(r);
-    }
-    s.ha_spec_claim_counts.resize(r.size(8));
-    for (std::uint64_t& c : s.ha_spec_claim_counts) c = r.u64();
-    s.recovery_batch_spans.resize(r.size(8 + 8 + 4));
-    for (auto& span : s.recovery_batch_spans) span = read_span_row(r);
-
-    s.node_down.resize(r.size(1));
-    for (char& v : s.node_down) v = static_cast<char>(r.u8());
-    s.node_az_down.resize(r.size(1));
-    for (char& v : s.node_az_down) v = static_cast<char>(r.u8());
-    s.node_cpu_factor.resize(r.size(8));
-    for (double& v : s.node_cpu_factor) v = r.f64();
-    s.has_mig_abort_rng = r.boolean();
-    s.mig_abort_rng_state = r.str();
-    s.has_claim_fault_rng = r.boolean();
-    s.claim_fault_rng_state = r.str();
-
-    s.bb_contention_ewma.resize(r.size(8));
-    for (double& v : s.bb_contention_ewma) v = r.f64();
-
-    if (version >= 2) {
-        s.has_bp = r.boolean();
-        s.bp_queue.resize(r.size(4 + 1 + 4 + 8 + 8 + 8));
-        for (bp_queued_request& q : s.bp_queue) {
-            q.vm = r.id<vm_tag>();
-            q.kind = static_cast<bp_request_kind>(r.u8());
-            q.priority = r.i32();
-            q.enqueued_at = r.i64();
-            q.deadline = r.i64();
-            q.deleted_at = r.i64();
-        }
-        s.bp_regime = r.u8();
-        s.bp_transitions.resize(r.size(8));
-        for (sim_time& t : s.bp_transitions) t = r.i64();
-        s.bp_drain_seq = r.u64();
-        s.bp_drain_armed = r.boolean();
-    }
-    return s;
-}
 
 }  // namespace
 
 std::vector<std::byte> serialize(const engine_state& state) {
     byte_writer payload_writer;
-    write_payload(payload_writer, state);
+    payload_writer(state);
     const std::vector<std::byte> payload = payload_writer.take();
 
     byte_writer w;
-    w.u64(snapshot_magic);
-    w.u32(format_version);
-    w.u64(payload.size());
-    w.u64(checksum(payload));
+    w(snapshot_magic, format_version,
+      static_cast<std::uint64_t>(payload.size()), checksum(payload));
     std::vector<std::byte> out = w.take();
     out.insert(out.end(), payload.begin(), payload.end());
     return out;
@@ -861,22 +399,25 @@ engine_state deserialize(std::span<const std::byte> bytes) {
                              std::to_string(bytes.size()) + " of " +
                              std::to_string(header_size) + " bytes)");
     }
-    byte_reader header(bytes);
-    const std::uint64_t magic = header.u64();
+    byte_reader header(bytes, format_version);
+    std::uint64_t magic = 0;
+    header(magic);
     if (magic != snapshot_magic) {
         throw snapshot_error(
             "snapshot: bad magic — not a snapshot file (or corrupted "
             "header)");
     }
-    const std::uint32_t version = header.u32();
+    std::uint32_t version = 0;
+    header(version);
     if (version == 0 || version > format_version) {
         throw snapshot_error(
             "snapshot: unsupported format version " + std::to_string(version) +
             " (this build reads up to version " +
             std::to_string(format_version) + ")");
     }
-    const std::uint64_t payload_len = header.u64();
-    const std::uint64_t expected_sum = header.u64();
+    std::uint64_t payload_len = 0;
+    std::uint64_t expected_sum = 0;
+    header(payload_len, expected_sum);
     if (payload_len != header.remaining()) {
         throw snapshot_error(
             "snapshot: truncated input (header promises " +
@@ -890,8 +431,9 @@ engine_state deserialize(std::span<const std::byte> bytes) {
             "snapshot: payload checksum mismatch (corrupted input)");
     }
 
-    byte_reader r(payload);
-    engine_state state = read_payload(r, version);
+    byte_reader r(payload, version);
+    engine_state state;
+    r(state);
     if (r.remaining() != 0) {
         throw snapshot_error(
             "snapshot: trailing bytes after the payload (corrupted input)");

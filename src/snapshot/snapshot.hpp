@@ -52,11 +52,15 @@ namespace snapshot {
 
 /// Serialized-format version.  deserialize() accepts exactly the versions
 /// it knows how to read; a snapshot from a future build fails with a
-/// precise error instead of misinterpreting bytes.
-inline constexpr std::uint32_t format_version = 2;
+/// precise error instead of misinterpreting bytes.  The field lists of
+/// engine_config and run_stats (core/engine.hpp) say which versions carry
+/// which member: v2 added backpressure, v3 dropped the host timings and
+/// the two population fields the engine recomputes at setup, so two
+/// captures of one state are byte-identical.
+inline constexpr std::uint32_t format_version = 3;
 
 /// Raised by the codec on malformed input: wrong magic, future version,
-/// truncation, or checksum mismatch.  Never undefined behaviour — every
+/// truncation, checksum mismatch, or an out-of-range enum value.  Never undefined behaviour — every
 /// read is length-checked before it happens.
 class snapshot_error : public error {
 public:
@@ -259,8 +263,8 @@ std::unique_ptr<region_set> restore_regions(
 std::vector<std::byte> serialize(const engine_state& state);
 
 /// Parse serialized bytes; throws snapshot_error with a precise message
-/// on bad magic, unsupported (future) version, truncation, or checksum
-/// mismatch.
+/// on bad magic, unsupported (future) version, truncation, checksum
+/// mismatch, or an enum value outside its type.
 engine_state deserialize(std::span<const std::byte> bytes);
 
 /// Write / read a snapshot file (the CLI's --snapshot-at / --restore).

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "simcore/error.hpp"
 
 namespace sci {
@@ -152,7 +154,13 @@ INSTANTIATE_TEST_SUITE_P(
         // >= 3 TB flavors require dedicated XL BBs regardless of class
         purpose_case{workload_class::hana_db, 3072, bb_purpose::dedicated_xl, true},
         purpose_case{workload_class::hana_db, 3072, bb_purpose::hana, false},
-        purpose_case{workload_class::hana_db, 6144, bb_purpose::general, false}));
+        purpose_case{workload_class::hana_db, 6144, bb_purpose::general, false}),
+    [](const testing::TestParamInfo<purpose_case>& info) {
+        const purpose_case& c = info.param;
+        return std::string(to_string(c.wc)) + "_" +
+               std::to_string(static_cast<int>(c.ram_gib)) + "GiB_on_" +
+               std::string(to_string(c.purpose));
+    });
 
 TEST(NumInstancesFilterTest, CapsInstances) {
     const flavor f = make_flavor(1, 1);

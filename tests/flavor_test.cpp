@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "simcore/error.hpp"
 
 namespace sci {
@@ -32,7 +35,10 @@ INSTANTIATE_TEST_SUITE_P(
                     vcpu_case{17, vcpu_class::large},
                     vcpu_case{64, vcpu_class::large},     // boundary: <= 64
                     vcpu_case{65, vcpu_class::extra_large},
-                    vcpu_case{224, vcpu_class::extra_large}));
+                    vcpu_case{224, vcpu_class::extra_large}),
+    [](const testing::TestParamInfo<vcpu_case>& info) {
+        return std::to_string(info.param.vcpus) + "vcpus";
+    });
 
 // --- Table 2 RAM class boundaries ------------------------------------------
 
@@ -56,7 +62,15 @@ INSTANTIATE_TEST_SUITE_P(
                     ram_case{65, ram_class::large},
                     ram_case{128, ram_class::large},      // boundary: <= 128
                     ram_case{129, ram_class::extra_large},
-                    ram_case{12288, ram_class::extra_large}));
+                    ram_case{12288, ram_class::extra_large}),
+    [](const testing::TestParamInfo<ram_case>& info) {
+        // 2.5 GiB -> "2p5GiB": test names take no '.'
+        const auto whole = static_cast<int>(info.param.gib);
+        const auto tenths =
+            static_cast<int>(std::lround((info.param.gib - whole) * 10));
+        return std::to_string(whole) +
+               (tenths != 0 ? "p" + std::to_string(tenths) : "") + "GiB";
+    });
 
 TEST(FlavorTest, DedicatedBbThresholdIs3TB) {
     flavor f{.id = flavor_id(0), .name = "x", .vcpus = 1,

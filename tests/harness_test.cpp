@@ -61,7 +61,9 @@ TEST(ScenarioDsl, ParsesEverySection) {
     EXPECT_EQ(spec.description, "an example");
     EXPECT_DOUBLE_EQ(spec.config.scenario.scale, 0.02);
     EXPECT_EQ(spec.config.scenario.seed, 7u);
-    EXPECT_EQ(spec.config.population.seed, 7u);
+    // the engine draws the population from scenario.seed; the DSL leaves
+    // population.seed alone
+    EXPECT_EQ(spec.config.population.seed, population_config{}.seed);
     EXPECT_DOUBLE_EQ(spec.config.population.daily_churn_fraction, 0.05);
     EXPECT_DOUBLE_EQ(spec.config.fault.host_crash_rate_per_day, 0.01);
     EXPECT_EQ(spec.config.fault.az_outages, 1);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "stats_equal.hpp"
 
 namespace sci {
 namespace {
@@ -35,52 +36,6 @@ const std::vector<std::unique_ptr<sim_engine>>& engines() {
         return v;
     }();
     return *runs;
-}
-
-void expect_stats_equal(const run_stats& a, const run_stats& b) {
-    EXPECT_EQ(a.placements, b.placements);
-    EXPECT_EQ(a.placement_failures, b.placement_failures);
-    EXPECT_EQ(a.scheduler_retries, b.scheduler_retries);
-    EXPECT_EQ(a.drs_migrations, b.drs_migrations);
-    EXPECT_EQ(a.evacuations, b.evacuations);
-    EXPECT_EQ(a.forced_fits, b.forced_fits);
-    EXPECT_EQ(a.holistic_claim_rejections, b.holistic_claim_rejections);
-    EXPECT_EQ(a.deletions, b.deletions);
-    EXPECT_EQ(a.scrapes, b.scrapes);
-    EXPECT_EQ(a.cross_bb_moves, b.cross_bb_moves);
-    EXPECT_EQ(a.resizes, b.resizes);
-    EXPECT_EQ(a.resize_failures, b.resize_failures);
-    EXPECT_EQ(a.migration_seconds, b.migration_seconds);  // bitwise: ==
-    EXPECT_EQ(a.max_migration_downtime_ms, b.max_migration_downtime_ms);
-    EXPECT_EQ(a.speculative_placements, b.speculative_placements);
-    EXPECT_EQ(a.speculation_misses, b.speculation_misses);
-    EXPECT_EQ(a.window_batches, b.window_batches);
-    EXPECT_EQ(a.window_speculations, b.window_speculations);
-    EXPECT_EQ(a.window_speculative_placements, b.window_speculative_placements);
-    EXPECT_EQ(a.window_speculation_misses, b.window_speculation_misses);
-    EXPECT_EQ(a.window_speculation_invalidated, b.window_speculation_invalidated);
-    // churn_placement_wall_ms is host timing, deliberately not compared
-    // initial_placement_wall_ms is host timing, deliberately not compared
-    EXPECT_EQ(a.recovery_batches, b.recovery_batches);
-    EXPECT_EQ(a.recovery_speculations, b.recovery_speculations);
-    EXPECT_EQ(a.recovery_speculative_placements,
-              b.recovery_speculative_placements);
-    EXPECT_EQ(a.recovery_speculation_misses, b.recovery_speculation_misses);
-    EXPECT_EQ(a.recovery_speculation_invalidated,
-              b.recovery_speculation_invalidated);
-    EXPECT_EQ(a.recovery_speculation_cancelled,
-              b.recovery_speculation_cancelled);
-    // recovery_placement_wall_ms is host timing, deliberately not compared
-    EXPECT_EQ(a.rebalance_target_speculations, b.rebalance_target_speculations);
-    EXPECT_EQ(a.rebalance_targets_used, b.rebalance_targets_used);
-    EXPECT_EQ(a.rebalance_target_invalidated, b.rebalance_target_invalidated);
-    EXPECT_EQ(a.host_crashes, b.host_crashes);
-    EXPECT_EQ(a.crash_victims, b.crash_victims);
-    EXPECT_EQ(a.ha_restarts, b.ha_restarts);
-    EXPECT_EQ(a.ha_restart_failures, b.ha_restart_failures);
-    EXPECT_EQ(a.migration_aborts, b.migration_aborts);
-    EXPECT_EQ(a.maintenance_evacuations, b.maintenance_evacuations);
-    EXPECT_EQ(a.wasted_migration_seconds, b.wasted_migration_seconds);
 }
 
 TEST(ParallelScrapeTest, StatsAreBitIdenticalAcrossThreadCounts) {

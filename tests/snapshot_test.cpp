@@ -296,6 +296,30 @@ TEST(SnapshotTest, FutureVersionSnapshotFailsWithPreciseError) {
     expect_codec_error(std::move(bytes), "unsupported format version");
 }
 
+TEST(SnapshotTest, OutOfRangeEnumFailsWithPreciseError) {
+    // the writer does not check enum values, so an out-of-range action in
+    // a captured state serializes (checksum and all); the reader must
+    // reject it by name instead of dispatching an unknown event
+    snapshot::engine_state state = default_runs()[0].mid;
+    ASSERT_FALSE(state.queue.empty());
+    state.queue.front().payload.act = static_cast<engine_event::action>(200);
+    expect_codec_error(snapshot::serialize(state), "engine_event::action");
+}
+
+TEST(SnapshotTest, CapturesOfOneStateAreByteIdentical) {
+    // the 0/1/4-thread runs reach the same state; with the thread override
+    // (the one config difference) cleared their bytes must match, which
+    // needs host timings kept out of the format
+    std::vector<std::vector<std::byte>> bytes;
+    for (const identity_run& run : default_runs()) {
+        snapshot::engine_state state = run.mid;
+        state.config.threads.reset();
+        bytes.push_back(snapshot::serialize(state));
+    }
+    EXPECT_EQ(bytes[0], bytes[1]);
+    EXPECT_EQ(bytes[0], bytes[2]);
+}
+
 TEST(SnapshotTest, ConcurrentWhatIfQueriesMatchSerialExecution) {
     // a read-only planner over one hot snapshot: 4 concurrent batches of
     // 500 placement queries each must equal their serial execution

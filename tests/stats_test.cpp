@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "simcore/error.hpp"
@@ -129,7 +130,12 @@ INSTANTIATE_TEST_SUITE_P(
                     p2_case{"p50-large", 0.5, 20000, 1.0},
                     p2_case{"p90", 0.9, 20000, 1.5},
                     p2_case{"p95", 0.95, 20000, 1.5},
-                    p2_case{"p99", 0.99, 50000, 2.0}));
+                    p2_case{"p99", 0.99, 50000, 2.0}),
+    [](const testing::TestParamInfo<p2_case>& info) {
+        std::string name = info.param.name;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 TEST(P2QuantileTest, ExactForFewSamples) {
     p2_quantile sketch(0.5);

@@ -170,10 +170,7 @@ resolved_run resolve_run(const cli_options& options) {
                   << "\n";
         // Explicit CLI flags still win over the scenario file.
         if (options.scale_set) run.config.scenario.scale = options.scale;
-        if (options.seed_set) {
-            run.config.scenario.seed = options.seed;
-            run.config.population.seed = options.seed;
-        }
+        if (options.seed_set) run.config.scenario.seed = options.seed;
         if (options.fault_touched) run.config.fault = options.fault;
         if (!spec.regions.empty()) {
             spec.config = run.config;  // overrides become the regions' base
@@ -182,7 +179,6 @@ resolved_run resolve_run(const cli_options& options) {
     } else {
         run.config.scenario.scale = options.scale;
         run.config.scenario.seed = options.seed;
-        run.config.population.seed = options.seed;
         run.config.fault = options.fault;
         if (options.backpressure.has_value()) {
             run.config.backpressure.mode = *options.backpressure;
