@@ -4,8 +4,9 @@
 //
 // Both arms fork one shared snapshot taken right after the initial
 // placement settles (sci::snapshot): the population build and first
-// scrape are paid once instead of per arm.  The legacy run-per-arm path
-// is kept and timed so the recorded arm-setup speedup stays honest.
+// scrape are paid once instead of per arm.  A fork switched off with
+// set_drs_enabled runs exactly like a fresh run with drs.enabled = false
+// (snapshot_test pins this).
 
 #include <chrono>
 #include <iostream>
@@ -41,14 +42,6 @@ outcome measure(sci::sim_engine& engine) {
     return out;
 }
 
-outcome run_legacy(bool drs_enabled) {
-    sci::engine_config config = arm_config();
-    config.drs.enabled = drs_enabled;
-    sci::sim_engine engine(config);
-    engine.run();
-    return measure(engine);
-}
-
 outcome run_fork(const sci::snapshot::shared_snapshot& base,
                  bool drs_enabled) {
     std::unique_ptr<sci::sim_engine> engine = sci::snapshot::fork(base);
@@ -72,15 +65,8 @@ int main() {
         "DRS keeps vSphere clusters balanced; without it, fragmentation and "
         "imbalanced resource distribution arise within clusters (Section 3.1)");
 
-    // untimed warmup: the process's first full window pays allocator
-    // growth and page faults that neither path should own
-    {
-        sim_engine warmup(arm_config());
-        warmup.run();
-    }
-
-    // fork path: one shared prefix (setup + first scrape), two forks
-    auto begin = std::chrono::steady_clock::now();
+    // one shared prefix (setup + first scrape), two forks
+    const auto begin = std::chrono::steady_clock::now();
     snapshot::shared_snapshot base;
     {
         sim_engine prefix(arm_config());
@@ -92,39 +78,22 @@ int main() {
     const outcome off = run_fork(base, false);
     const double fork_ms = ms_since(begin);
 
-    // legacy path: full engine per arm (the pre-snapshot behaviour)
-    begin = std::chrono::steady_clock::now();
-    const outcome legacy_on = run_legacy(true);
-    const outcome legacy_off = run_legacy(false);
-    const double legacy_ms = ms_since(begin);
-
-    table_printer table({"DRS", "arms", "migrations", "mean intra-BB stddev %",
+    table_printer table({"DRS", "migrations", "mean intra-BB stddev %",
                          "max intra-BB spread %", "max node util %",
                          "worst contention %"});
-    const auto row = [&](const char* label, const char* arms,
-                         const outcome& o) {
-        table.add_row({label, arms, std::to_string(o.migrations),
+    const auto row = [&](const char* label, const outcome& o) {
+        table.add_row({label, std::to_string(o.migrations),
                        format_double(o.imbalance.mean_intra_bb_stddev_pct),
                        format_double(o.imbalance.max_intra_bb_spread_pct),
                        format_double(o.imbalance.max_node_util_pct),
                        format_double(o.worst_contention)});
     };
-    row("on", "fork", on);
-    row("off", "fork", off);
-    row("on", "legacy", legacy_on);
-    row("off", "legacy", legacy_off);
+    row("on", on);
+    row("off", off);
     std::cout << table.to_string();
     std::cout << "\nfork-from-snapshot arms: " << format_double(fork_ms)
-              << " ms vs legacy run-per-arm " << format_double(legacy_ms)
-              << " ms (" << format_double(legacy_ms / fork_ms) << "x)\n";
-    std::cout << "expected: DRS-off shows higher intra-BB imbalance, and "
-                 "fork/legacy arms agree\n";
-    const bool arms_agree = on.migrations == legacy_on.migrations &&
-                            off.migrations == legacy_off.migrations;
-    if (!arms_agree) std::cout << "WARNING: fork and legacy arms diverged\n";
-    // second column records the fork-over-legacy arm-setup speedup
-    benchutil::record_bench("abl_drs_onoff/fork_arms=2", fork_ms,
-                            legacy_ms / fork_ms);
-    benchutil::record_bench("abl_drs_onoff/legacy_arms=2", legacy_ms, 0.0);
-    return arms_agree ? 0 : 1;
+              << " ms\n";
+    std::cout << "expected: DRS-off shows higher intra-BB imbalance\n";
+    benchutil::record_bench("abl_drs_onoff/fork_arms=2", fork_ms, 0.0);
+    return 0;
 }

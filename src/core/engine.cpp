@@ -158,7 +158,6 @@ void sim_engine::setup_providers() {
         clusters_.emplace_back(bb, cluster_cfg);
     }
     bb_contention_ewma_.assign(f.bb_count(), 0.0);
-    demand_scratch_.assign(f.node_count(), node_demand{});
 
     // scheduler pipeline, optionally contention-aware (Section 7 guidance)
     auto filters = make_default_filters();
@@ -274,7 +273,7 @@ void sim_engine::build_population() {
 }
 
 unsigned sim_engine::worker_threads() const {
-    return config_.threads.value_or(thread_pool::env_threads());
+    return thread_pool::resolve_workers(config_.threads);
 }
 
 void sim_engine::run_sharded(std::size_t count, const thread_pool::range_fn& fn) {
@@ -294,8 +293,9 @@ void sim_engine::set_shared_pool(thread_pool* pool) {
 
 void sim_engine::setup_scrape_pipeline() {
     const fleet& f = scenario_.infrastructure;
+    // one worker would run every stage inline anyway (see parallel_for)
     const unsigned workers = worker_threads();
-    if (shared_pool_ == nullptr && workers > 0) {
+    if (shared_pool_ == nullptr && workers > 1) {
         pool_ = std::make_unique<thread_pool>(workers);
     }
 
@@ -333,8 +333,6 @@ void sim_engine::setup_scrape_pipeline() {
                             static_cast<std::uint32_t>(c)});
         }
     }
-    node_snap_buf_.resize(scrape_nodes_.size());
-    node_avail_buf_.resize(scrape_nodes_.size());
 }
 
 void sim_engine::place_initial_population() {
@@ -368,44 +366,24 @@ void sim_engine::place_initial_population() {
         return;
     }
 
-    // Speculative batched placement.  The pipeline runs at EVERY thread
-    // count (pool workers when configured, inline otherwise): the commit
-    // is exact, so placements match the old serial loop byte for byte,
-    // and running it unconditionally keeps the speculation counters —
-    // which appear in the report — identical at any SCI_THREADS.
+    // Speculative batched placement: a batch speculates against the host
+    // view as it stands, then commits in creation order.  The commit is
+    // exact, so placements match the plain serial loop byte for byte.
     //
     // Speculation raws may be reused at commit only while every host
     // field they read is unchanged; that includes the contention feed,
     // which is safe here because no scrape has run yet (the first fires
     // at t = 0, after setup), so the EWMA is zero on both sides.
     const std::size_t n = order.size();
-    const std::size_t batch = std::min(n, placement_batch_size);
-    spec_slots_.resize(batch);
-    spec_requests_.resize(batch);
-    const filter_scheduler& scheduler = conductor_->scheduler();
+    spec_slots_.resize(std::min(n, placement_batch_size));
     for (std::size_t begin = 0; begin < n; begin += placement_batch_size) {
         const std::size_t count = std::min(placement_batch_size, n - begin);
-        // serial prep: requests (policy sampling stays on the main thread)
-        for (std::size_t i = 0; i < count; ++i) {
-            const vm_record& rec = vms_.get(order[begin + i]->vm);
-            schedule_request& rq = spec_requests_[i];
-            rq = schedule_request{};
-            rq.vm = rec.id;
-            rq.flavor = rec.flavor;
-            rq.project = rec.project;
-            rq.policy = policy_for(rec.id, scenario_.catalog.get(rec.flavor));
-        }
-        // immutable snapshot of the live host view for this batch
-        spec_snapshot_ = conductor_->host_states();  // copy reuses capacity
         conductor_->snapshot_claim_counts(spec_claim_counts_);
-        run_sharded(count, [&](unsigned, std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-                const schedule_request& rq = spec_requests_[i];
-                const request_context ctx{rq, scenario_.catalog.get(rq.flavor)};
-                scheduler.speculate(ctx, spec_snapshot_, spec_slots_[i]);
-            }
-        });
-        // serial commit pass, in creation order
+        const std::vector<host_state>& hosts = conductor_->host_states();
+        for (std::size_t i = 0; i < count; ++i) {
+            speculate(order[begin + i]->vm, hosts, spec_slots_[i]);
+        }
+        // commit pass, in creation order
         for (std::size_t i = 0; i < count; ++i) {
             const vm_plan* plan = order[begin + i];
             if (place_vm(plan->vm, plan->created_at,
@@ -546,31 +524,12 @@ void sim_engine::speculate_arrival_batch(sim_time t) {
     const std::size_t count = end - arrival_cursor_;
     // the caller only speculates when an arrival is due at t, so the
     // batch is never empty (arrivals_[cursor].created_at == t < horizon)
-    if (spec_slots_.size() < count) {
-        spec_slots_.resize(count);
-        spec_requests_.resize(count);
-    }
-    const filter_scheduler& scheduler = conductor_->scheduler();
-    // serial prep: requests (policy sampling stays on the main thread)
-    for (std::size_t i = 0; i < count; ++i) {
-        const vm_record& rec = vms_.get(arrivals_[arrival_cursor_ + i].vm);
-        schedule_request& rq = spec_requests_[i];
-        rq = schedule_request{};
-        rq.vm = rec.id;
-        rq.flavor = rec.flavor;
-        rq.project = rec.project;
-        rq.policy = policy_for(rec.id, scenario_.catalog.get(rec.flavor));
-    }
-    // immutable snapshot of the live host view for this batch
-    spec_snapshot_ = conductor_->host_states();  // copy reuses capacity
+    if (spec_slots_.size() < count) spec_slots_.resize(count);
     conductor_->snapshot_claim_counts(spec_claim_counts_);
-    run_sharded(count, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const schedule_request& rq = spec_requests_[i];
-            const request_context ctx{rq, scenario_.catalog.get(rq.flavor)};
-            scheduler.speculate(ctx, spec_snapshot_, spec_slots_[i]);
-        }
-    });
+    const std::vector<host_state>& hosts = conductor_->host_states();
+    for (std::size_t i = 0; i < count; ++i) {
+        speculate(arrivals_[arrival_cursor_ + i].vm, hosts, spec_slots_[i]);
+    }
     spec_begin_ = arrival_cursor_;
     spec_end_ = end;
     spec_shrink_version_ = placement_.shrink_version();
@@ -597,6 +556,24 @@ placement_policy sim_engine::policy_for(vm_id vm, const flavor& f) const {
                                                        : placement_policy::pack;
 }
 
+schedule_request sim_engine::request_for(vm_id vm) const {
+    const vm_record& rec = vms_.get(vm);
+    schedule_request request;
+    request.vm = vm;
+    request.flavor = rec.flavor;
+    request.project = rec.project;
+    request.policy = policy_for(vm, scenario_.catalog.get(rec.flavor));
+    return request;
+}
+
+void sim_engine::speculate(vm_id vm, std::span<const host_state> hosts,
+                           host_speculation& out) const {
+    const schedule_request request = request_for(vm);
+    conductor_->scheduler().speculate(
+        request_context{request, scenario_.catalog.get(request.flavor)}, hosts,
+        out);
+}
+
 bool sim_engine::place_vm(vm_id vm, sim_time when, lifecycle_event_kind kind,
                           const host_speculation* spec,
                           std::span<const std::uint64_t> spec_counts,
@@ -605,11 +582,7 @@ bool sim_engine::place_vm(vm_id vm, sim_time when, lifecycle_event_kind kind,
 
     vm_record& rec = vms_.get_mutable(vm);
     const flavor& f = scenario_.catalog.get(rec.flavor);
-    schedule_request request;
-    request.vm = vm;
-    request.flavor = rec.flavor;
-    request.project = rec.project;
-    request.policy = policy_for(vm, f);
+    const schedule_request request = request_for(vm);
 
     // On a speculation miss the conductor resets the outcome before the
     // serial re-placement, so its attempts are counted exactly once here.
@@ -981,48 +954,7 @@ void sim_engine::scrape(sim_time t) {
         }
     });
 
-    // --- stage 2 (parallel): reduce shards per node + node snapshots ----
-    // per node, partials merge in shard order 0..N — a fixed grouping —
-    // and evaluate_node is pure, so snapshots land in disjoint buffer slots
-    run_sharded(scrape_nodes_.size(),
-                [&](unsigned, std::size_t n_begin, std::size_t n_end) {
-        for (std::size_t k = n_begin; k < n_end; ++k) {
-            const scrape_node& sn = scrape_nodes_[k];
-            node_demand total = shard_demand_[0][sn.node_idx];
-            for (unsigned s = 1; s < scrape_shard_count; ++s) {
-                total.merge(shard_demand_[s][sn.node_idx]);
-            }
-            demand_scratch_[sn.node_idx] = total;
-            // crashed / in-maintenance hosts export nothing (white cells),
-            // like planned unavailability; node_down_ is all-zero when the
-            // fault layer is off, so this branch reduces to the old check
-            const bool available =
-                sn.meta->available_at(t) && node_down_[sn.node_idx] == 0;
-            node_avail_buf_[k] = available ? 1 : 0;
-            if (!available) {
-                node_snap_buf_[k] = node_snapshot{};
-                continue;
-            }
-            const double cpu_factor = node_cpu_factor_[sn.node_idx];
-            if (cpu_factor == 1.0) {
-                // untouched profile: the exact pre-fault float path
-                node_snap_buf_[k] = evaluate_node(sn.nr->profile(), total,
-                                                  config_.sampling_interval);
-            } else {
-                // degraded host: contention is evaluated against the
-                // shrunken effective core count (sci::fault degrade window)
-                hardware_profile degraded = sn.nr->profile();
-                degraded.pcpu_cores = std::max<std::int32_t>(
-                    1, static_cast<std::int32_t>(std::lround(
-                           cpu_factor *
-                           static_cast<double>(degraded.pcpu_cores))));
-                node_snap_buf_[k] =
-                    evaluate_node(degraded, total, config_.sampling_interval);
-            }
-        }
-    });
-
-    // --- stage 3: batch the scrape, then shard the ingest ----------------
+    // --- stage 2: batch the scrape, then shard the ingest ----------------
     // All of the scrape's samples are gathered into one batch in the
     // canonical (serial) order, then handed to the store's sharded
     // append: the store partitions by series hash, so each worker owns a
@@ -1039,8 +971,10 @@ void sim_engine::scrape(sim_time t) {
 
     // per-node series + per-BB contention; scrape_nodes_ is cluster-major,
     // so one running_stats accumulates each cluster's available nodes.
-    // Feed the scheduler the *hottest* node of each BB: mean contention
-    // washes out single noisy-neighbor nodes the filter should react to.
+    // Each node's demand partials merge in shard order 0..N — a fixed
+    // grouping, whatever ran stage 1.  Feed the scheduler the *hottest*
+    // node of each BB: mean contention washes out single noisy-neighbor
+    // nodes the filter should react to.
     running_stats bb_contention_stats;
     std::uint32_t current_cluster = 0;
     bool have_cluster = false;
@@ -1050,16 +984,38 @@ void sim_engine::scrape(sim_time t) {
             clusters_[current_cluster].bb().value())];
         ewma = 0.7 * ewma + 0.3 * bb_contention_stats.max();
     };
-    for (std::size_t k = 0; k < scrape_nodes_.size(); ++k) {
-        const scrape_node& sn = scrape_nodes_[k];
+    for (const scrape_node& sn : scrape_nodes_) {
         if (!have_cluster || sn.cluster_idx != current_cluster) {
             flush_cluster();
             bb_contention_stats = running_stats{};
             current_cluster = sn.cluster_idx;
             have_cluster = true;
         }
-        if (node_avail_buf_[k] == 0) continue;  // white heatmap cell
-        const node_snapshot& snap = node_snap_buf_[k];
+        // crashed / in-maintenance hosts export nothing (white cells),
+        // like planned unavailability; node_down_ is all-zero when the
+        // fault layer is off, so this reduces to the availability check
+        if (!sn.meta->available_at(t) || node_down_[sn.node_idx] != 0) {
+            continue;
+        }
+        node_demand total = shard_demand_[0][sn.node_idx];
+        for (unsigned s = 1; s < scrape_shard_count; ++s) {
+            total.merge(shard_demand_[s][sn.node_idx]);
+        }
+        node_snapshot snap;
+        const double cpu_factor = node_cpu_factor_[sn.node_idx];
+        if (cpu_factor == 1.0) {
+            // untouched profile: the exact pre-fault float path
+            snap = evaluate_node(sn.nr->profile(), total,
+                                 config_.sampling_interval);
+        } else {
+            // degraded host: contention is evaluated against the
+            // shrunken effective core count (sci::fault degrade window)
+            hardware_profile degraded = sn.nr->profile();
+            degraded.pcpu_cores = std::max<std::int32_t>(
+                1, static_cast<std::int32_t>(std::lround(
+                       cpu_factor * static_cast<double>(degraded.pcpu_cores))));
+            snap = evaluate_node(degraded, total, config_.sampling_interval);
+        }
         const node_series& s = node_series_[sn.node_idx];
         scrape_batch_.push_back({s.cpu_util, snap.cpu_util_pct});
         scrape_batch_.push_back({s.contention, snap.cpu_contention_pct});
@@ -1144,27 +1100,16 @@ void sim_engine::drs_pass(sim_time t) {
     const double imbalance_before =
         probes_.drs_imbalance ? mean_imbalance() : 0.0;
 
-    // Fan the per-cluster *planning* across the pool: plan_rebalance is
-    // const — each cluster's plan is computed against a frozen copy of its
-    // node runtimes, so the fan-out never mutates shared placement state
-    // (the demand/flavor oracles stay pure per VM; a VM resides in exactly
-    // one cluster, so even the lazy behavior-cache fills land in disjoint
-    // slots pre-sized at setup).
-    drs_moved_buf_.resize(clusters_.size());
-    run_sharded(clusters_.size(),
-                [&](unsigned, std::size_t begin, std::size_t end) {
-        for (std::size_t c = begin; c < end; ++c) {
-            drs_moved_buf_[c] = clusters_[c].plan_rebalance(demand, flavor_of);
-        }
-    });
-
-    // Commit serially in cluster order — reservations move, bookkeeping
-    // and events fire, and abort draws happen in exactly the order the old
-    // eager loop produced, so runs stay bit-identical at any worker count.
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
-        drs_cluster& cluster = clusters_[c];
+    // Plan, then commit, one cluster at a time, in cluster order.  A plan
+    // reads only its own cluster's nodes and the pure per-VM demand and
+    // flavor oracles, and a VM resides in exactly one cluster, so the
+    // commits of earlier clusters never change a later cluster's plan;
+    // reservations, events and abort draws follow the eager loop's order.
+    for (drs_cluster& cluster : clusters_) {
+        const std::vector<drs_migration> moves =
+            cluster.plan_rebalance(demand, flavor_of);
         cluster.begin_pass();
-        for (const drs_migration& m : drs_moved_buf_[c]) {
+        for (const drs_migration& m : moves) {
             if (migration_aborted()) {
                 // pre-copy failed mid-stream (sci::fault): the VM never
                 // left its source — the planned move is simply not
@@ -1231,9 +1176,9 @@ void sim_engine::cross_bb_pass(sim_time t) {
                                    f.wclass == workload_class::hana_db);
     };
 
-    // Speculate every planned move's destination node as a batch on the
-    // pool (initial_placement is a pure read of the target cluster), each
-    // stamped with its cluster's usage version.  The serial commit below
+    // Speculate every planned move's destination node as a batch
+    // (initial_placement is a pure read of the target cluster), each
+    // stamped with its cluster's usage version.  The commit below
     // consumes a target only while the version still matches — then the
     // cluster is bitwise what the speculation saw, so the target equals
     // the recompute the old serial loop did — and otherwise drops the
@@ -1291,21 +1236,14 @@ void sim_engine::cross_bb_pass(sim_time t) {
 void sim_engine::speculate_cross_bb_targets(
     const std::vector<cross_bb_move>& moves, std::size_t from) {
     // Pure per-move reads: initial_placement scans the target cluster's
-    // nodes, the flavor resolves through const registries, and every
-    // worker writes only its own disjoint target slots — deterministic at
-    // any worker count.
+    // nodes and the flavor resolves through const registries.
     cross_bb_targets_.resize(moves.size());
-    run_sharded(moves.size() - from,
-                [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-            const std::size_t i = from + k;
-            const flavor& f =
-                scenario_.catalog.get(vms_.get(moves[i].vm).flavor);
-            const drs_cluster& cluster = cluster_of(moves[i].to);
-            cross_bb_targets_[i] = {cluster.initial_placement(f),
-                                    cluster.usage_version()};
-        }
-    });
+    for (std::size_t i = from; i < moves.size(); ++i) {
+        const flavor& f = scenario_.catalog.get(vms_.get(moves[i].vm).flavor);
+        const drs_cluster& cluster = cluster_of(moves[i].to);
+        cross_bb_targets_[i] = {cluster.initial_placement(f),
+                                cluster.usage_version()};
+    }
     stats_.rebalance_target_speculations +=
         static_cast<std::uint64_t>(moves.size() - from);
 }
@@ -1694,31 +1632,12 @@ void sim_engine::speculate_recovery_batch(sim_time t,
     const std::size_t count = ha_spec_vms_.size();
     // the caller only speculates for a victim that is still pending, so
     // the batch is never empty
-    if (ha_spec_slots_.size() < count) {
-        ha_spec_slots_.resize(count);
-        ha_spec_requests_.resize(count);
-    }
-    const filter_scheduler& scheduler = conductor_->scheduler();
-    // serial prep: requests (policy sampling stays on the main thread)
-    for (std::size_t i = 0; i < count; ++i) {
-        const vm_record& rec = vms_.get(ha_spec_vms_[i]);
-        schedule_request& rq = ha_spec_requests_[i];
-        rq = schedule_request{};
-        rq.vm = rec.id;
-        rq.flavor = rec.flavor;
-        rq.project = rec.project;
-        rq.policy = policy_for(rec.id, scenario_.catalog.get(rec.flavor));
-    }
-    // immutable snapshot of the live host view for this batch
-    spec_snapshot_ = conductor_->host_states();  // copy reuses capacity
+    if (ha_spec_slots_.size() < count) ha_spec_slots_.resize(count);
     conductor_->snapshot_claim_counts(ha_spec_claim_counts_);
-    run_sharded(count, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            const schedule_request& rq = ha_spec_requests_[i];
-            const request_context ctx{rq, scenario_.catalog.get(rq.flavor)};
-            scheduler.speculate(ctx, spec_snapshot_, ha_spec_slots_[i]);
-        }
-    });
+    const std::vector<host_state>& hosts = conductor_->host_states();
+    for (std::size_t i = 0; i < count; ++i) {
+        speculate(ha_spec_vms_[i], hosts, ha_spec_slots_[i]);
+    }
     ha_spec_cursor_ = 0;
     ha_spec_shrink_version_ = placement_.shrink_version();
     ha_spec_scrapes_ = stats_.scrapes;

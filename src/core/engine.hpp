@@ -115,13 +115,14 @@ struct engine_config {
     cross_bb_config cross_bb;
     /// Cost model applied to every DRS / cross-BB migration.
     migration_cost_config migration_cost;
-    /// Worker threads for the scrape pipeline and the DRS balancing
-    /// fan-out.  nullopt reads the SCI_THREADS environment variable; 0
-    /// evaluates serially.  Output is bit-identical at any thread count:
-    /// demand is sharded by a fixed shard count and reduced in shard
-    /// order, all store appends stay serial in VM/node order (see
-    /// sim_engine::scrape), and DRS results commit serially in cluster
-    /// order (see sim_engine::drs_pass).
+    /// Worker threads for the two scrape stages that fan out: per-VM
+    /// demand and the store's append shards.  nullopt reads the
+    /// SCI_THREADS environment variable; the count is clamped to the
+    /// machine's hardware threads, and 0 or 1 evaluates serially.  Output
+    /// is bit-identical at any thread count: demand is sharded by a fixed
+    /// shard count and reduced in shard order, and each append shard owns
+    /// a disjoint set of series (see sim_engine::scrape).  Everything else
+    /// runs on the event loop's thread.
     std::optional<unsigned> threads;
     /// Deterministic fault injection (sci::fault).  The default (all
     /// rates zero) is fully inert: no schedule is compiled, no RNG
@@ -318,10 +319,10 @@ struct run_stats {
     double max_migration_downtime_ms = 0.0;
 
     // --- speculative initial placement -----------------------------------
-    // The batched pipeline runs at every thread count (inline when
-    // serial), so these counters — which appear in the report — are
+    // The batched pipeline runs on the event loop's thread at every thread
+    // count, so these counters — which appear in the report — are
     // identical at any SCI_THREADS.
-    /// Initial placements committed straight from a worker's speculative
+    /// Initial placements committed straight from a speculative
     /// filter+weigh result (exactly revalidated at commit).
     std::uint64_t speculative_placements = 0;
     /// Speculations fully invalidated by earlier commits in their batch;
@@ -333,8 +334,8 @@ struct run_stats {
 
     // --- batched churn-arrival placement ----------------------------------
     // In-window arrivals are grouped per scrape interval and driven
-    // through the same speculate/commit pipeline (inline when serial), so
-    // every counter here is identical at any SCI_THREADS.
+    // through the same speculate/commit pipeline, so every counter here is
+    // identical at any SCI_THREADS.
     std::uint64_t window_batches = 0;       ///< speculation batches launched
     std::uint64_t window_speculations = 0;  ///< arrivals speculated in-window
     /// Arrivals committed straight from a window speculation.
@@ -352,8 +353,8 @@ struct run_stats {
 
     // --- batched HA recovery placement ------------------------------------
     // After a crash the detection epoch's victim queue is re-placed as a
-    // batch through the same speculate/commit pipeline (inline when
-    // serial); all zero when faults are off or the run is holistic.
+    // batch through the same speculate/commit pipeline; all zero when
+    // faults are off or the run is holistic.
     std::uint64_t recovery_batches = 0;      ///< speculation batches launched
     std::uint64_t recovery_speculations = 0; ///< victims speculated
     /// Victims committed straight from a recovery speculation.
@@ -572,12 +573,14 @@ public:
     /// Instantaneous CPU demand (cores) of a VM at time t.
     double vm_cpu_demand_cores(vm_id vm, sim_time t);
 
-    /// Resolved scrape worker count (config override, else SCI_THREADS).
+    /// Resolved scrape worker count (config override, else SCI_THREADS,
+    /// clamped to the machine; see thread_pool::resolve_workers).
     unsigned worker_threads() const;
 
-    /// Run all sharded stages on an externally owned pool instead of
-    /// creating a private one (multi-region: N engines share one pool, so
-    /// region-level tasks and intra-region shards never oversubscribe).
+    /// Run the sharded scrape stages on an externally owned pool instead
+    /// of creating a private one (multi-region: N engines share one pool,
+    /// so region-level tasks and intra-region shards never
+    /// oversubscribe).
     /// Must be called before setup(); the pool must outlive the engine.
     /// Output is unaffected — sharding is fixed-count by contract.
     void set_shared_pool(thread_pool* pool);
@@ -644,6 +647,12 @@ private:
     void schedule_window_events();
     void drain_arrivals(sim_time t);
     void speculate_arrival_batch(sim_time t);
+
+    /// The conductor request for `vm`: its flavor, project and policy.
+    schedule_request request_for(vm_id vm) const;
+    /// Filter + raw-weigh `vm`'s request against `hosts` into `out`.
+    void speculate(vm_id vm, std::span<const host_state> hosts,
+                   host_speculation& out) const;
 
     /// quiet_fail: on admission failure leave the VM's state untouched and
     /// record no schedule_fail event or failure counter — the caller (the
@@ -801,13 +810,16 @@ private:
     std::vector<bb_series> bb_series_;
     series_id instances_series_;
     std::vector<double> bb_contention_ewma_;  ///< per bb id value
-    std::vector<node_demand> demand_scratch_;  ///< per node id value
 
     // --- parallel scrape pipeline ---------------------------------------
     // Demand is evaluated in scrape_shard_count fixed shards of the active
     // VM list regardless of worker count, and shard partials are reduced
     // in shard order — so the floating-point grouping (and therefore every
     // emitted sample) is bit-identical whether 0, 1 or N workers run.
+    // Stage 1 (demand) and the store's append shards are the only work
+    // that leaves the event loop's thread: nothing else in a run holds
+    // enough work to pay for the hand-off (EXPERIMENTS.md, "Where fanning
+    // out pays").
     static constexpr unsigned scrape_shard_count = 16;
 
     /// Run fn over [0, count) — sharded across the pool, or inline when
@@ -821,7 +833,7 @@ private:
         std::uint32_t cluster_idx;  ///< ordinal into clusters_
     };
 
-    std::unique_ptr<thread_pool> pool_;  ///< null when running serial
+    std::unique_ptr<thread_pool> pool_;  ///< null unless 2+ workers
     thread_pool* shared_pool_ = nullptr;  ///< non-owning; wins over pool_
     std::vector<double> scrape_cpu_col_;        ///< per active VM
     std::vector<double> scrape_mem_col_;        ///< per active VM
@@ -831,21 +843,17 @@ private:
     /// Per fixed shard: one node_demand per node id value.
     std::vector<std::vector<node_demand>> shard_demand_;
     std::vector<scrape_node> scrape_nodes_;     ///< cluster-major, built once
-    std::vector<node_snapshot> node_snap_buf_;  ///< per scrape_nodes_ entry
-    std::vector<char> node_avail_buf_;          ///< per scrape_nodes_ entry
 
     // --- speculative initial placement ------------------------------------
-    // The creation-ordered plan is consumed in fixed-size batches: workers
-    // run filter + raw-weigh for every VM of a batch against an immutable
-    // snapshot of the conductor's host view (filter_scheduler::speculate),
-    // then a serial commit pass walks the batch in creation order and
-    // commits each speculation exactly (commit_speculation revalidates
-    // only providers claimed since the snapshot).  Placements are
-    // byte-identical to the old serial loop at any worker count.
+    // The creation-ordered plan is consumed in fixed-size batches: filter
+    // + raw-weigh runs for every VM of a batch against the conductor's
+    // host view as it stands (filter_scheduler::speculate), then a commit
+    // pass walks the batch in creation order and commits each speculation
+    // exactly (commit_speculation revalidates only providers claimed
+    // since the batch was speculated).  Placements are byte-identical to
+    // the plain serial loop.
     static constexpr std::size_t placement_batch_size = 256;
-    std::vector<host_speculation> spec_slots_;     ///< per VM in batch
-    std::vector<schedule_request> spec_requests_;  ///< per VM in batch
-    std::vector<host_state> spec_snapshot_;        ///< immutable per batch
+    std::vector<host_speculation> spec_slots_;  ///< per VM in batch
     /// Conductor claim counters at the batch snapshot (initial + churn
     /// batches — never open at the same time, so they share the buffer;
     /// the HA pipeline has its own, since an HA drain can fire while a
@@ -860,8 +868,8 @@ private:
     // heap carries O(1) arrival entries instead of one per arrival.  Each
     // drain extends the same speculate/commit pipeline into the event
     // loop: the arrivals of the current scrape interval (capped at
-    // placement_batch_size) speculate against an immutable snapshot on
-    // the pool, then commit serially in event-time order.  A shrink
+    // placement_batch_size) speculate against the host view of the
+    // moment, then commit in event-time order as they fall due.  A shrink
     // (deletion / evacuation / crash / resize / cross-BB move) or a
     // contention-feed move breaks the monotone-usage precondition of
     // commit_speculation, so the uncommitted tail is dropped and
@@ -880,15 +888,6 @@ private:
     std::uint64_t spec_shrink_version_ = 0;  ///< shrink counter at snapshot
     std::uint64_t spec_scrapes_ = 0;         ///< scrape count at snapshot
     std::vector<churn_batch_span> churn_batch_spans_;
-
-    // --- parallel DRS fan-out ---------------------------------------------
-    // Clusters rebalance independently (each touches only its own nodes;
-    // the demand/flavor oracles are pure per VM and a VM resides in
-    // exactly one cluster), so the balancing pass fans clusters across
-    // the pool and commits results — events, stats, abort rollbacks —
-    // serially in cluster order, keeping runs bit-identical at any
-    // worker count.
-    std::vector<std::vector<drs_migration>> drs_moved_buf_;  ///< per cluster
 
     // --- batched HA recovery placement -------------------------------------
     // One crash's victims form a group due after the detection delay; the
@@ -912,7 +911,6 @@ private:
     std::uint64_t ha_spec_shrink_version_ = 0;
     std::uint64_t ha_spec_scrapes_ = 0;
     std::vector<host_speculation> ha_spec_slots_;
-    std::vector<schedule_request> ha_spec_requests_;
     std::vector<std::uint64_t> ha_spec_claim_counts_;
     std::vector<churn_batch_span> recovery_batch_spans_;
 

@@ -95,10 +95,10 @@ public:
     /// without mutating the cluster.  The plan replays the exact
     /// place/remove sequence of the classic eager pass on the copy, so the
     /// returned moves — order included — are bit-identical to what the
-    /// eager pass would have applied.  Being const, planning is safe to
-    /// fan out across clusters (and across regions sharing one pool)
-    /// while readers observe the live state; the caller commits serially
-    /// via begin_pass() + commit_migration()/abort_migration().
+    /// eager pass would have applied.  Being const, planning leaves the
+    /// cluster untouched, so a plan can be timed or inspected on its own;
+    /// the engine plans and then commits one cluster at a time via
+    /// begin_pass() + commit_migration()/abort_migration().
     std::vector<drs_migration> plan_rebalance(
         const vm_cpu_demand_fn& demand, const vm_flavor_fn& flavor_of) const;
 

@@ -75,7 +75,7 @@ std::string_view to_string(replay_status s) {
 }
 
 bool scenario_outcome::passed() const {
-    if (replay == replay_status::mismatched) return false;
+    if (!error.empty() || replay == replay_status::mismatched) return false;
     return std::all_of(invariants.begin(), invariants.end(),
                        [](const invariant_result& r) { return r.passed; });
 }
@@ -392,6 +392,7 @@ std::string outcomes_json(std::span<const scenario_outcome> outcomes) {
         out << "      \"name\": \"" << json_escape(o.name) << "\",\n";
         out << "      \"passed\": " << (o.passed() ? "true" : "false")
             << ",\n";
+        out << "      \"error\": \"" << json_escape(o.error) << "\",\n";
         out << "      \"days\": " << o.days << ",\n";
         out << "      \"events\": " << o.event_count << ",\n";
         out << "      \"events_hash\": \"" << hex64(o.events_hash) << "\",\n";

@@ -64,8 +64,12 @@ struct scenario_outcome {
     std::uint64_t stats_hash = 0;
     replay_status replay = replay_status::none;
     std::string replay_detail;
+    /// Why the scenario could not be loaded or run to the end; empty when
+    /// it ran.
+    std::string error;
 
-    /// Green = every invariant holds and the replay (if any) matched.
+    /// Green = it ran, every invariant holds and the replay (if any)
+    /// matched.
     bool passed() const;
 };
 

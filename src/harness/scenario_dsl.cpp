@@ -26,7 +26,10 @@ std::string_view trim(std::string_view s) {
     return s;
 }
 
+/// Throws `message`, prefixed with the scenario-file line when there is
+/// one (line 0: a value from outside a file, such as a command line).
 [[noreturn]] void parse_fail(int line, const std::string& message) {
+    if (line == 0) throw error(message);
     throw error("scenario parse: line " + std::to_string(line) + ": " +
                 message);
 }
@@ -59,9 +62,14 @@ void parse_value(T& out, std::string_view key, std::string_view value,
         if (!mode.has_value()) fail("degrade/queue/shed");
         out = *mode;
     } else {
+        // parse into a temporary: a rejected token leaves `out` as it was
+        T parsed{};
         const char* end = value.data() + value.size();
-        const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-        if (ec == std::errc{} && ptr == end) return;
+        const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+        if (ec == std::errc{} && ptr == end) {
+            out = parsed;
+            return;
+        }
         if constexpr (std::is_floating_point_v<T>) {
             fail("a number");
         } else {
@@ -102,8 +110,8 @@ void render_value(std::ostream& out, std::string_view key, const T& value) {
 constexpr std::array<std::string_view, 3> config_sections = {
     "engine", "fault", "backpressure"};
 
-/// Set `key` of config section `section` through the field list; false
-/// when the section has no such key.
+}  // namespace
+
 bool set_config_key(engine_config& cfg, std::string_view section,
                     std::string_view key, std::string_view value, int line) {
     bool found = false;
@@ -118,7 +126,17 @@ bool set_config_key(engine_config& cfg, std::string_view section,
     return found;
 }
 
-}  // namespace
+template <class T>
+T parse_checked(std::string_view what, std::string_view value) {
+    T out{};
+    parse_value(out, what, value, 0);
+    return out;
+}
+template int parse_checked<int>(std::string_view, std::string_view);
+template unsigned parse_checked<unsigned>(std::string_view, std::string_view);
+template std::int64_t parse_checked<std::int64_t>(std::string_view,
+                                                  std::string_view);
+template double parse_checked<double>(std::string_view, std::string_view);
 
 scenario_spec parse_scenario(std::string_view text) {
     scenario_spec spec;

@@ -122,4 +122,21 @@ std::string render_scenario(const scenario_spec& spec);
 /// directory.
 scenario_spec load_scenario_file(const std::filesystem::path& file);
 
+/// Set `key` of config section `section` ("engine", "fault" or
+/// "backpressure") from its text, typed and range-checked exactly like a
+/// scenario-file line; every other member of `cfg` is left as it was.
+/// Returns false when the section has no such key.  Throws sci::error
+/// naming the key when the value does not parse; `line` is the
+/// scenario-file line the message cites (0: not from a file).
+bool set_config_key(engine_config& cfg, std::string_view section,
+                    std::string_view key, std::string_view value,
+                    int line = 0);
+
+/// Parse one command-line or environment value the way the DSL parses a
+/// value: the whole token must parse, and an integer must fit T (an
+/// unsigned T takes no sign).  Throws sci::error naming `what`.
+/// Instantiated for int, unsigned, std::int64_t and double.
+template <class T>
+T parse_checked(std::string_view what, std::string_view value);
+
 }  // namespace sci::harness

@@ -170,7 +170,7 @@ dataset_export_report merge_region_exports(
 region_set::region_set(std::vector<region_spec> specs,
                        std::optional<unsigned> threads)
     : specs_(std::move(specs)),
-      pool_(threads.value_or(thread_pool::env_threads())) {
+      pool_(thread_pool::resolve_workers(threads)) {
     expects(!specs_.empty(), "region_set: need at least one region");
 
     // RNG-stream derivation audit: two regions on one derived master seed
@@ -193,7 +193,7 @@ region_set::region_set(std::vector<region_spec> specs,
                        const engine_builder& build,
                        std::optional<unsigned> threads)
     : specs_(std::move(specs)),
-      pool_(threads.value_or(thread_pool::env_threads())) {
+      pool_(thread_pool::resolve_workers(threads)) {
     expects(!specs_.empty(), "region_set: need at least one region");
     expects(static_cast<bool>(build), "region_set: null engine builder");
 

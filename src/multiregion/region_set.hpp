@@ -82,7 +82,8 @@ dataset_export_report merge_region_exports(
 class region_set {
 public:
     /// Construct one engine per spec, all sharing one pool of `threads`
-    /// workers (nullopt = SCI_THREADS).  Asserts that no two regions
+    /// workers (nullopt = SCI_THREADS; clamped to the machine by
+    /// thread_pool::resolve_workers).  Asserts that no two regions
     /// share a derived master seed — identical seeds would make the
     /// "independent" regions replay each other's RNG streams.
     explicit region_set(std::vector<region_spec> specs,

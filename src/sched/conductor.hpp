@@ -89,8 +89,7 @@ public:
     /// behaviour exactly.
     const std::vector<host_state>& host_states();
 
-    /// The scheduler pipeline (immutable — safe to share with workers
-    /// running filter_scheduler::speculate off-thread).
+    /// The scheduler pipeline (immutable).
     const filter_scheduler& scheduler() const { return scheduler_; }
 
     // --- speculative placement batches ------------------------------------

@@ -1,5 +1,6 @@
 #include "simcore/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -55,11 +56,17 @@ unsigned thread_pool::env_threads() {
     return parsed > 0 ? static_cast<unsigned>(parsed) : 0;
 }
 
+unsigned thread_pool::resolve_workers(std::optional<unsigned> requested,
+                                      unsigned hardware) {
+    return std::min(requested.value_or(env_threads()),
+                    std::max(1u, hardware));
+}
+
 void thread_pool::parallel_for(std::size_t begin, std::size_t end,
                                const range_fn& fn) {
     expects(static_cast<bool>(fn), "thread_pool::parallel_for: empty task");
     if (begin >= end) return;
-    if (workers_.empty() || inside_pool_task) {
+    if (workers_.size() < 2 || inside_pool_task) {
         fn(0, begin, end);
         return;
     }

@@ -12,6 +12,8 @@
 // Semantics:
 //   - thread_pool(0) keeps no workers; parallel_for runs inline on the
 //     caller (the serial fallback — identical arithmetic, zero threads).
+//     So does a one-worker pool: handing the whole range to its single
+//     worker would only park the caller until it finished.
 //   - parallel_for blocks until every index is processed.  An exception
 //     thrown by a task is captured and rethrown on the caller; when
 //     several workers throw, the lowest worker index wins (deterministic).
@@ -30,8 +32,9 @@
 // or oversubscribing.  A single task runs on the caller with the pool left
 // idle, so its internal stages can still fan out across the workers.
 //
-// Worker count resolution: callers usually take an explicit count or fall
-// back to env_threads() (the SCI_THREADS environment variable, default 0).
+// Worker count resolution: resolve_workers() takes an explicit count, else
+// the SCI_THREADS environment variable (default 0), and clamps it to the
+// machine's hardware threads.
 
 #include <condition_variable>
 #include <cstddef>
@@ -39,6 +42,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -67,7 +71,9 @@ public:
     /// Split [begin, end) into worker_count contiguous shards and run
     /// fn(worker, shard_begin, shard_end) on each worker.  Blocks until
     /// every shard finished; rethrows the first worker exception.  Empty
-    /// ranges return immediately without invoking fn.
+    /// ranges return immediately without invoking fn.  With fewer than
+    /// two workers (or from inside a pool task) fn(0, begin, end) runs on
+    /// the caller.
     void parallel_for(std::size_t begin, std::size_t end, const range_fn& fn);
 
     /// Run `count` independent coarse-grained tasks, dynamically claimed
@@ -95,6 +101,13 @@ public:
     /// Worker count requested via the SCI_THREADS environment variable
     /// (unset, empty, or unparsable = 0 = serial).
     static unsigned env_threads();
+
+    /// Worker count for a pool: `requested`, else env_threads(), clamped
+    /// to max(1, hardware) so an oversized request never starts more
+    /// threads than the machine runs at once.  0 stays 0 (serial).
+    static unsigned resolve_workers(
+        std::optional<unsigned> requested,
+        unsigned hardware = std::thread::hardware_concurrency());
 
 private:
     void worker_loop(unsigned index);

@@ -327,9 +327,6 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     e.spec_shrink_version_ = s.spec_shrink_version;
     e.spec_scrapes_ = s.spec_scrapes;
     e.spec_slots_ = s.spec_slots;
-    // the engine's grow-only guard keys on spec_slots_.size() and sizes
-    // the request scratch with it — keep them sized together
-    e.spec_requests_.resize(e.spec_slots_.size());
     e.spec_claim_counts_ = s.spec_claim_counts;
     e.churn_batch_spans_ = s.churn_batch_spans;
 
@@ -375,8 +372,6 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     e.ha_spec_shrink_version_ = s.ha_spec_shrink_version;
     e.ha_spec_scrapes_ = s.ha_spec_scrapes;
     e.ha_spec_slots_ = s.ha_spec_slots;
-    // same sized-together invariant as the churn batch above
-    e.ha_spec_requests_.resize(e.ha_spec_slots_.size());
     e.ha_spec_claim_counts_ = s.ha_spec_claim_counts;
     e.recovery_batch_spans_ = s.recovery_batch_spans;
 

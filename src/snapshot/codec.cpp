@@ -23,7 +23,6 @@
 #include <concepts>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string_view>
 #include <type_traits>
 
@@ -34,6 +33,10 @@ namespace sci::snapshot {
 namespace {
 
 constexpr std::uint64_t snapshot_magic = 0x53434953'4e415031ull;  // "SCISNAP1"
+// magic u64 · version u32 · payload length u64 · checksum u64
+constexpr std::size_t header_size = 8 + 4 + 8 + 8;
+constexpr std::size_t payload_len_offset = 8 + 4;
+constexpr std::size_t checksum_offset = payload_len_offset + 8;
 
 std::uint64_t checksum(std::span<const std::byte> payload) {
     return fnv1a(std::string_view(
@@ -379,21 +382,22 @@ private:
 }  // namespace
 
 std::vector<std::byte> serialize(const engine_state& state) {
-    byte_writer payload_writer;
-    payload_writer(state);
-    const std::vector<std::byte> payload = payload_writer.take();
-
+    // one buffer: the header with placeholder length and checksum, then
+    // the payload; the two header fields are patched once it is written
     byte_writer w;
-    w(snapshot_magic, format_version,
-      static_cast<std::uint64_t>(payload.size()), checksum(payload));
+    w(snapshot_magic, format_version, std::uint64_t{0}, std::uint64_t{0});
+    w(state);
     std::vector<std::byte> out = w.take();
-    out.insert(out.end(), payload.begin(), payload.end());
+    const std::uint64_t payload_len = out.size() - header_size;
+    const std::uint64_t sum =
+        checksum(std::span<const std::byte>(out).subspan(header_size));
+    std::memcpy(out.data() + payload_len_offset, &payload_len,
+                sizeof payload_len);
+    std::memcpy(out.data() + checksum_offset, &sum, sizeof sum);
     return out;
 }
 
 engine_state deserialize(std::span<const std::byte> bytes) {
-    // magic u64 · version u32 · payload length u64 · checksum u64
-    constexpr std::size_t header_size = 8 + 4 + 8 + 8;
     if (bytes.size() < header_size) {
         throw snapshot_error("snapshot: input shorter than the file header (" +
                              std::to_string(bytes.size()) + " of " +
@@ -456,16 +460,23 @@ void save_file(const engine_state& state, const std::string& path) {
 }
 
 engine_state load_file(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in) {
         throw snapshot_error("snapshot: cannot open '" + path +
                              "' for reading");
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string data = buf.str();
-    return deserialize(std::span<const std::byte>(
-        reinterpret_cast<const std::byte*>(data.data()), data.size()));
+    const std::streamoff size = in.tellg();
+    if (size < 0) {
+        throw snapshot_error("snapshot: cannot size '" + path + "'");
+    }
+    std::vector<std::byte> bytes(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    if (!in) {
+        throw snapshot_error("snapshot: short read from '" + path + "'");
+    }
+    return deserialize(bytes);
 }
 
 }  // namespace sci::snapshot

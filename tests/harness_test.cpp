@@ -18,6 +18,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -125,6 +126,69 @@ TEST(ScenarioDsl, ShippedScenariosParseWithRealInvariants) {
         EXPECT_EQ(render_scenario(parse_scenario(canonical)), canonical)
             << file;
     }
+}
+
+/// True when every field-list member of `a` equals the one of `b`.
+bool same_config(const engine_config& a, const engine_config& b) {
+    bool same = true;
+    for_each_field(
+        [&](const field_info& f, const auto& x, const auto& y) {
+            if (!(x == y)) {
+                ADD_FAILURE() << f.name << " differs";
+                same = false;
+            }
+        },
+        a, b);
+    return same;
+}
+
+TEST(ScenarioDsl, OneKeyOverrideKeepsTheScenariosOtherKeys) {
+    // scisim --scenario retry_storm.scn --crash-rate 0.5: the flag sets
+    // its own [fault] key on top of the file and nothing else
+    const scenario_spec spec = load_scenario_file(
+        std::filesystem::path(SCI_SCENARIO_DIR) / "retry_storm.scn");
+    engine_config cfg = spec.config;
+    ASSERT_TRUE(set_config_key(cfg, "fault", "crash_rate_per_day", "0.5"));
+    EXPECT_EQ(cfg.fault.host_crash_rate_per_day, 0.5);
+    // the file's other [fault] keys survive
+    EXPECT_EQ(cfg.fault.claim_failure_probability, 0.35);
+    EXPECT_EQ(cfg.fault.migration_abort_probability, 0.20);
+    EXPECT_EQ(cfg.fault.ha_max_restart_attempts, 1);
+    EXPECT_EQ(cfg.fault.crash_repair_time, 14400);
+    engine_config expected = spec.config;
+    expected.fault.host_crash_rate_per_day = 0.5;
+    EXPECT_TRUE(same_config(cfg, expected));
+    // a key the section does not have is reported, not invented
+    EXPECT_FALSE(set_config_key(cfg, "fault", "warp_speed", "9"));
+    EXPECT_TRUE(same_config(cfg, expected));
+}
+
+TEST(ScenarioDsl, SetConfigKeyRejectsABadTokenByKeyName) {
+    struct bad {
+        std::string_view section, key, token;
+    };
+    for (const bad& b : {bad{"engine", "seed", "abc"},
+                         bad{"engine", "seed", "-1"},
+                         bad{"engine", "scale", "fast"},
+                         bad{"fault", "crash_rate_per_day", "0.1x"},
+                         bad{"fault", "maintenance_windows", "1.5"}}) {
+        engine_config cfg;
+        try {
+            set_config_key(cfg, b.section, b.key, b.token);
+            ADD_FAILURE() << b.key << " accepted '" << b.token << "'";
+        } catch (const error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(b.key), std::string::npos) << what;
+            EXPECT_NE(what.find(b.token), std::string::npos) << what;
+        }
+        // a rejected token leaves the config as it was
+        EXPECT_TRUE(same_config(cfg, engine_config{})) << b.key;
+    }
+    // the same checked parse serves plain command-line values
+    EXPECT_EQ(parse_checked<unsigned>("--threads", "4"), 4u);
+    EXPECT_THROW(parse_checked<unsigned>("--threads", "-4"), error);
+    EXPECT_THROW(parse_checked<int>("--days", "3x"), error);
+    EXPECT_THROW(parse_checked<sim_time>("--snapshot-at", "1e5"), error);
 }
 
 // --- each checker can actually fail -------------------------------------

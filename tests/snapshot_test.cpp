@@ -234,6 +234,36 @@ TEST(SnapshotTest, ForkFromSharedSnapshotMatchesRestore) {
               default_runs()[0].stats_hash);
 }
 
+TEST(SnapshotTest, ForkWithDrsDisabledMatchesAFreshDrsOffRun) {
+    // abl_drs_onoff forks one snapshot taken after the first scrape
+    // (t = 0) and switches DRS off with set_drs_enabled.  Only
+    // plan_rebalance reads the flag and the first pass fires at
+    // drs_interval, so the fork must run exactly like a fresh engine
+    // configured with DRS off from the start.
+    engine_config config = base_config(0, false);
+    sim_engine prefix(config);
+    prefix.setup();
+    prefix.run_until(0);
+    const std::unique_ptr<sim_engine> fork =
+        snapshot::fork(snapshot::share(snapshot::capture(prefix)));
+    fork->set_drs_enabled(false);
+    fork->run_until(end_time);
+
+    config.drs.enabled = false;
+    sim_engine fresh(config);
+    fresh.setup();
+    fresh.run_until(end_time);
+    EXPECT_EQ(events_fingerprint(fork->events()),
+              events_fingerprint(fresh.events()));
+    EXPECT_EQ(stats_fingerprint(fork->stats()),
+              stats_fingerprint(fresh.stats()));
+    // the switch took effect: no DRS moves, and a different run from the
+    // DRS-on one
+    EXPECT_EQ(fresh.stats().drs_migrations, 0u);
+    EXPECT_NE(events_fingerprint(fresh.events()),
+              default_runs()[0].events_hash);
+}
+
 TEST(SnapshotTest, SerializeIsByteStable) {
     // save . load . save is the identity on bytes (canonical encoding)
     const std::vector<std::byte> once =

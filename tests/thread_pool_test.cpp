@@ -1,6 +1,6 @@
 // Unit tests for the simcore worker pool: coverage of the index range,
-// deterministic sharding, exception propagation, nested-call safety, and
-// the serial (0-worker) fallback.
+// deterministic sharding, exception propagation, nested-call safety, the
+// inline (0- and 1-worker) fallback, and worker-count resolution.
 
 #include "simcore/thread_pool.hpp"
 
@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -117,6 +118,19 @@ TEST(ThreadPoolTest, ZeroWorkersRunsInlineOnCaller) {
     EXPECT_EQ(covered, 20u);
 }
 
+TEST(ThreadPoolTest, OneWorkerRunsInlineOnCaller) {
+    thread_pool pool(1);
+    EXPECT_EQ(pool.worker_count(), 1u);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::size_t covered = 0;
+    pool.parallel_for(5, 25, [&](unsigned worker, std::size_t begin, std::size_t end) {
+        EXPECT_EQ(worker, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        covered += end - begin;
+    });
+    EXPECT_EQ(covered, 20u);
+}
+
 TEST(ThreadPoolTest, ConcurrentExternalCallersAreSerialized) {
     thread_pool pool(2);
     std::atomic<std::size_t> total{0};
@@ -144,6 +158,22 @@ TEST(ThreadPoolTest, EnvThreadsParsesSciThreads) {
     EXPECT_EQ(thread_pool::env_threads(), 0u);
     ::unsetenv("SCI_THREADS");
     EXPECT_EQ(thread_pool::env_threads(), 0u);
+}
+
+TEST(ThreadPoolTest, ResolveWorkersClampsToTheMachine) {
+    // explicit counts: kept up to the hardware thread count, clamped above
+    EXPECT_EQ(thread_pool::resolve_workers(0u, 4), 0u);
+    EXPECT_EQ(thread_pool::resolve_workers(3u, 4), 3u);
+    EXPECT_EQ(thread_pool::resolve_workers(4u, 4), 4u);
+    EXPECT_EQ(thread_pool::resolve_workers(100000u, 4), 4u);
+    // an unknown hardware count (0) still allows one worker
+    EXPECT_EQ(thread_pool::resolve_workers(8u, 0), 1u);
+    // without an explicit count, SCI_THREADS is read and clamped the same way
+    ::setenv("SCI_THREADS", "100000", 1);
+    EXPECT_EQ(thread_pool::resolve_workers(std::nullopt, 4), 4u);
+    EXPECT_EQ(thread_pool::resolve_workers(2u, 4), 2u);  // explicit wins
+    ::unsetenv("SCI_THREADS");
+    EXPECT_EQ(thread_pool::resolve_workers(std::nullopt, 4), 0u);
 }
 
 TEST(ThreadPoolTest, ShardRejectsInvalidArguments) {

@@ -13,15 +13,17 @@
 // Scale 1.0 reproduces the paper's full region (1,800 nodes / 48,000 VMs);
 // the default 0.05 runs in seconds on a laptop.
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-
-#include <fstream>
+#include <string_view>
+#include <vector>
 
 #include "analysis/advisor.hpp"
 #include "analysis/figures.hpp"
@@ -36,16 +38,74 @@
 
 namespace {
 
+/// A flag that is an alias of one scenario-DSL key: it sets that key and
+/// nothing else, on top of the --scenario file's config (or the defaults
+/// below), typed and range-checked like the file's own line.
+struct key_alias {
+    std::string_view flag, section, key;
+};
+constexpr std::array<key_alias, 8> key_aliases = {{
+    {"--scale", "engine", "scale"},
+    {"--seed", "engine", "seed"},
+    {"--crash-rate", "fault", "crash_rate_per_day"},
+    {"--claim-fail", "fault", "claim_failure_probability"},
+    {"--mig-abort", "fault", "migration_abort_probability"},
+    {"--degraded", "fault", "degraded_node_fraction"},
+    {"--degraded-cpu-factor", "fault", "degraded_cpu_factor"},
+    {"--maintenance", "fault", "maintenance_windows"},
+}};
+
+/// One aliased flag as given on the command line.
+struct key_override {
+    const key_alias* alias;
+    std::string value;
+};
+
+/// Apply the overrides in command-line order; a bad value ends the run
+/// with exit code 2, naming the flag.
+void apply_overrides(sci::engine_config& config,
+                     const std::vector<key_override>& overrides) {
+    for (const key_override& o : overrides) {
+        try {
+            sci::harness::set_config_key(config, o.alias->section,
+                                         o.alias->key, o.value);
+        } catch (const std::exception& e) {
+            std::cerr << o.alias->flag << ": " << e.what() << "\n";
+            std::exit(2);
+        }
+    }
+}
+
+/// A checked command-line value (see harness::parse_checked); a bad one
+/// ends the run with exit code 2, naming the flag.
+template <class T>
+T flag_value(std::string_view flag, const char* token) {
+    try {
+        return sci::harness::parse_checked<T>(flag, token);
+    } catch (const std::exception& e) {
+        std::cerr << e.what() << "\n";
+        std::exit(2);
+    }
+}
+
+/// The config of an ad-hoc run (no --scenario): the engine defaults at
+/// the CLI's laptop scale.
+sci::engine_config default_cli_config() {
+    sci::engine_config config;
+    config.scenario.scale = 0.05;
+    config.scenario.seed = 42;
+    return config;
+}
+
 struct cli_options {
-    double scale = 0.05;
-    std::uint64_t seed = 42;
     std::filesystem::path out_dir = "sci_dataset";
     std::filesystem::path markdown_file;  ///< report: write markdown here
-    sci::fault_config fault;              ///< inert unless a knob is set
+    /// --scale, --seed and the fault flags, in command-line order.
+    std::vector<key_override> overrides;
     /// --backpressure: overload mode for ad-hoc runs.  A --scenario
     /// file's [backpressure] section always wins over this flag — a
-    /// scenario IS its overload physics, unlike --scale/--seed which are
-    /// run-shape knobs.
+    /// scenario IS its overload physics, unlike the aliased key flags,
+    /// which override one key each.
     std::optional<sci::backpressure_mode> backpressure;
     std::filesystem::path scenario_file;  ///< --scenario: run a .scn file
     int regions = 1;                      ///< --regions: multi-region run
@@ -58,10 +118,6 @@ struct cli_options {
     /// --restore: resume from checkpoint file(s) instead of a fresh
     /// setup (pass once per region, in region order).
     std::vector<std::filesystem::path> restore_files;
-    // CLI flags win over a --scenario file only when actually given.
-    bool scale_set = false;
-    bool seed_set = false;
-    bool fault_touched = false;
 };
 
 cli_options parse_options(int argc, char** argv, int first) {
@@ -75,12 +131,11 @@ cli_options parse_options(int argc, char** argv, int first) {
             }
             return argv[++i];
         };
-        if (arg == "--scale") {
-            options.scale = std::atof(next());
-            options.scale_set = true;
-        } else if (arg == "--seed") {
-            options.seed = std::strtoull(next(), nullptr, 10);
-            options.seed_set = true;
+        const auto alias = std::find_if(
+            key_aliases.begin(), key_aliases.end(),
+            [&](const key_alias& a) { return a.flag == arg; });
+        if (alias != key_aliases.end()) {
+            options.overrides.push_back({&*alias, next()});
         } else if (arg == "--out") {
             options.out_dir = next();
         } else if (arg == "--markdown") {
@@ -88,34 +143,15 @@ cli_options parse_options(int argc, char** argv, int first) {
         } else if (arg == "--scenario") {
             options.scenario_file = next();
         } else if (arg == "--regions") {
-            options.regions = std::atoi(next());
+            options.regions = flag_value<int>(arg, next());
         } else if (arg == "--check-invariants") {
             options.check_invariants = true;
         } else if (arg == "--snapshot-at") {
-            options.snapshot_at =
-                static_cast<sci::sim_time>(std::strtoll(next(), nullptr, 10));
+            options.snapshot_at = flag_value<sci::sim_time>(arg, next());
         } else if (arg == "--snapshot-out") {
             options.snapshot_out = next();
         } else if (arg == "--restore") {
             options.restore_files.emplace_back(next());
-        } else if (arg == "--crash-rate") {
-            options.fault.host_crash_rate_per_day = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--claim-fail") {
-            options.fault.claim_failure_probability = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--mig-abort") {
-            options.fault.migration_abort_probability = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--degraded") {
-            options.fault.degraded_node_fraction = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--degraded-cpu-factor") {
-            options.fault.degraded_cpu_factor = std::atof(next());
-            options.fault_touched = true;
-        } else if (arg == "--maintenance") {
-            options.fault.maintenance_windows = std::atoi(next());
-            options.fault_touched = true;
         } else if (arg == "--backpressure") {
             const char* token = next();
             options.backpressure = sci::backpressure_mode_from(token);
@@ -130,7 +166,10 @@ cli_options parse_options(int argc, char** argv, int first) {
             std::exit(2);
         }
     }
-    if (options.scale <= 0.0) {
+    // check every aliased value now, before any run starts
+    sci::engine_config probe = default_cli_config();
+    apply_overrides(probe, options.overrides);
+    if (!(probe.scenario.scale > 0.0)) {
         std::cerr << "--scale must be positive\n";
         std::exit(2);
     }
@@ -168,18 +207,15 @@ resolved_run resolve_run(const cli_options& options) {
         std::cout << "scenario " << spec.name
                   << (spec.description.empty() ? "" : ": " + spec.description)
                   << "\n";
-        // Explicit CLI flags still win over the scenario file.
-        if (options.scale_set) run.config.scenario.scale = options.scale;
-        if (options.seed_set) run.config.scenario.seed = options.seed;
-        if (options.fault_touched) run.config.fault = options.fault;
+        // Each aliased flag overrides its own key of the scenario file.
+        apply_overrides(run.config, options.overrides);
         if (!spec.regions.empty()) {
             spec.config = run.config;  // overrides become the regions' base
             run.region_specs = sci::harness::region_specs_of(spec);
         }
     } else {
-        run.config.scenario.scale = options.scale;
-        run.config.scenario.seed = options.seed;
-        run.config.fault = options.fault;
+        run.config = default_cli_config();
+        apply_overrides(run.config, options.overrides);
         if (options.backpressure.has_value()) {
             run.config.backpressure.mode = *options.backpressure;
             if (run.config.backpressure.active()) {
@@ -288,7 +324,8 @@ region_run run_region_set(const cli_options& options,
     sci::region_set& set = *run.set;
     if (options.restore_files.empty()) {
         std::cout << "simulating 30 days across " << set.region_count()
-                  << " regions (base seed " << options.seed << ") ...\n";
+                  << " regions (base seed "
+                  << resolved.config.scenario.seed << ") ...\n";
     }
     std::vector<std::unique_ptr<sci::harness::invariant_monitor>> monitors;
     if (options.check_invariants) {
@@ -542,8 +579,10 @@ void usage() {
                  "scenario harness (sci::harness):\n"
                  "  --scenario FILE           run a *.scn scenario file "
                  "(engine + fault\n"
-                 "                            config from the file; explicit "
-                 "CLI flags win)\n"
+                 "                            config from the file; --scale, "
+                 "--seed and each\n"
+                 "                            fault flag override only their "
+                 "own key)\n"
                  "  --regions N               simulate/report: run N regions "
                  "concurrently on\n"
                  "                            one shared pool (per-region "

@@ -7,7 +7,10 @@
 // attached, and prints one JSON summary to stdout — progress and the
 // human-readable verdict go to stderr, so `sciverify scenarios/ >
 // summary.json` is all CI needs.  Exit code 0 iff every scenario passes
-// (all invariants hold and every declared replay trace matches).
+// (all invariants hold and every declared replay trace matches).  A
+// scenario that fails to load or throws mid-run is that scenario's failed
+// verdict, its error text in the JSON; the scenarios after it still run.
+// A bad option value exits 2.
 //
 //   --record          write/refresh replay traces instead of comparing
 //   --days N          cap each run to the first N simulated days
@@ -26,6 +29,8 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "harness/harness.hpp"
@@ -69,13 +74,58 @@ std::vector<std::filesystem::path> collect_scenarios(
     return files;
 }
 
+/// A checked, non-negative option value (see harness::parse_checked); a
+/// bad one exits 2, naming where it came from.
+template <class T>
+T option_value(std::string_view what, const char* token) {
+    try {
+        const T value = sci::harness::parse_checked<T>(what, token);
+        if (std::cmp_greater_equal(value, 0)) return value;
+        std::cerr << what << ": must be non-negative, got '" << token
+                  << "'\n";
+    } catch (const std::exception& e) {
+        std::cerr << e.what() << "\n";
+    }
+    std::exit(2);
+}
+
+/// Run one scenario file, printing its verdict to stderr.  A load or run
+/// error becomes the scenario's failed outcome.
+sci::harness::scenario_outcome verify(const std::filesystem::path& file,
+                                      const sci::harness::run_options& options) {
+    sci::harness::scenario_outcome outcome;
+    outcome.name = file.stem().string();
+    try {
+        const auto spec = sci::harness::load_scenario_file(file);
+        outcome.name = spec.name;
+        std::cerr << "running " << spec.name << " ("
+                  << spec.invariants.count() << " invariants) ...\n";
+        outcome = sci::harness::run_scenario(spec, options);
+    } catch (const std::exception& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        outcome.error = e.what();
+        return outcome;
+    }
+    for (const auto& r : outcome.invariants) {
+        std::cerr << "  ["
+                  << (r.skipped ? "skip" : (r.passed ? "pass" : "FAIL"))
+                  << "] " << r.name << (r.detail.empty() ? "" : ": " + r.detail)
+                  << "\n";
+    }
+    if (outcome.replay != sci::harness::replay_status::none) {
+        std::cerr << "  replay: " << to_string(outcome.replay) << " — "
+                  << outcome.replay_detail << "\n";
+    }
+    return outcome;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     sci::harness::run_options options;
     std::vector<std::filesystem::path> inputs;
-    if (const char* env = std::getenv("SCI_BENCH_DAYS")) {
-        options.days = std::max(0, std::atoi(env));
+    if (const char* env = std::getenv("SCI_BENCH_DAYS"); env && *env) {
+        options.days = option_value<int>("SCI_BENCH_DAYS", env);
     }
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -89,9 +139,9 @@ int main(int argc, char** argv) {
         if (arg == "--record") {
             options.record_trace = true;
         } else if (arg == "--days") {
-            options.days = std::atoi(next());
+            options.days = option_value<int>(arg, next());
         } else if (arg == "--threads") {
-            options.threads = static_cast<unsigned>(std::atoi(next()));
+            options.threads = option_value<unsigned>(arg, next());
         } else if (arg == "--watch") {
             options.watch = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -119,29 +169,8 @@ int main(int argc, char** argv) {
     std::vector<sci::harness::scenario_outcome> outcomes;
     bool all_passed = true;
     for (const auto& file : files) {
-        try {
-            const auto spec = sci::harness::load_scenario_file(file);
-            std::cerr << "running " << spec.name << " ("
-                      << spec.invariants.count() << " invariants) ...\n";
-            auto outcome = sci::harness::run_scenario(spec, options);
-            for (const auto& r : outcome.invariants) {
-                std::cerr << "  ["
-                          << (r.skipped ? "skip" : (r.passed ? "pass" : "FAIL"))
-                          << "] " << r.name
-                          << (r.detail.empty() ? "" : ": " + r.detail)
-                          << "\n";
-            }
-            if (outcome.replay != sci::harness::replay_status::none) {
-                std::cerr << "  replay: " << to_string(outcome.replay)
-                          << " — " << outcome.replay_detail << "\n";
-            }
-            all_passed = all_passed && outcome.passed();
-            outcomes.push_back(std::move(outcome));
-        } catch (const std::exception& e) {
-            std::cerr << "error: " << file.string() << ": " << e.what()
-                      << "\n";
-            return 2;
-        }
+        outcomes.push_back(verify(file, options));
+        all_passed = all_passed && outcomes.back().passed();
     }
 
     std::cout << sci::harness::outcomes_json(outcomes);
