@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
+#include "harness/scenario_dsl.hpp"
 
 namespace sci::benchutil {
 
@@ -30,6 +31,25 @@ std::vector<bench_entry> read_existing(const char* path) {
     }
     std::fclose(in);
     return parse_bench_json(text);
+}
+
+[[noreturn]] void env_error(const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(2);
+}
+
+/// Value of the environment variable `name`, parsed by
+/// harness::parse_checked: `fallback` when unset or empty; a value that
+/// does not parse prints the error and exits 2.
+template <class T>
+T env_value(const char* name, T fallback) {
+    const char* v = std::getenv(name);
+    if (v == nullptr || *v == '\0') return fallback;
+    try {
+        return harness::parse_checked<T>(name, v);
+    } catch (const std::exception& e) {
+        env_error(e.what());
+    }
 }
 
 void write_bench_json() {
@@ -65,16 +85,23 @@ void record_bench(std::string_view name, double wall_ms, double samples_per_s) {
 }
 
 double env_scale() {
-    const char* v = std::getenv("SCI_SCALE");
-    if (v == nullptr) return 0.1;
-    const double s = std::atof(v);
-    return s > 0.0 ? s : 0.1;
+    const double scale = env_value("SCI_SCALE", 0.1);
+    if (!(scale > 0.0)) {
+        env_error("SCI_SCALE: must be positive, got '" +
+                  std::string(std::getenv("SCI_SCALE")) + "'");
+    }
+    return scale;
 }
 
-std::uint64_t env_seed() {
-    const char* v = std::getenv("SCI_SEED");
-    if (v == nullptr) return 42;
-    return static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
+std::uint64_t env_seed() { return env_value<std::uint64_t>("SCI_SEED", 42); }
+
+int env_bench_days() {
+    const int days = env_value("SCI_BENCH_DAYS", 0);
+    if (days < 0) {
+        env_error("SCI_BENCH_DAYS: must be non-negative, got '" +
+                  std::string(std::getenv("SCI_BENCH_DAYS")) + "'");
+    }
+    return days;
 }
 
 engine_config default_config() {

@@ -9,6 +9,9 @@
 //   SCI_SCALE  linear fleet scale (default 0.1 — ~180 nodes, ~4,800 VMs;
 //              1.0 reproduces the full 1,800-node / 48,000-VM region)
 //   SCI_SEED   master seed (default 42)
+//
+// Each value is checked like a scenario-file value: unset or empty keeps
+// the default, and a malformed one exits 2 naming the variable.
 
 #include <string_view>
 
@@ -16,11 +19,15 @@
 
 namespace sci::benchutil {
 
-/// Scale from SCI_SCALE (default 0.1).
+/// Scale from SCI_SCALE (default 0.1; must be positive).
 double env_scale();
 
 /// Seed from SCI_SEED (default 42).
 std::uint64_t env_seed();
+
+/// SCI_BENCH_DAYS: caps a bench's simulated window for CI smokes (0 /
+/// unset = the full window; must be non-negative).
+int env_bench_days();
 
 /// Default engine config honoring the environment overrides.
 engine_config default_config();

@@ -1,17 +1,14 @@
-// Microbenchmark (google-benchmark): the speculative parallel initial
-// placement — how fast place_initial_population fills the fleet at a
-// given scale and thread count.
+// Microbenchmark (google-benchmark): initial placement — how fast
+// place_initial_population fills the fleet at a given scale, one request
+// at a time through the conductor's filter/weigh/claim loop.
 //
-// bm_place_initial args are {scale_permille, threads}: threads = 0 runs
-// the batched pipeline inline (serial — this axis isolates the zero-copy
-// scheduler fast path), N speculates batches on the pool.  Output is
-// bit-identical either way (commit_speculation revalidates exactly), so
-// the axis measures pure speedup.  wall_ms is the engine's own
-// initial_placement_wall_ms — placement only, excluding fleet/workload
-// construction and telemetry priming — and `setup_ms` on the counter is
-// the whole setup() for context.  Results are recorded into
-// BENCH_engine.json (see benchutil::record_bench) next to the perf_engine
-// trajectory.
+// bm_place_initial's arg is the scale in permille.  Placement runs on the
+// event loop's thread whatever the worker count, so there is no thread
+// axis.  wall_ms is the engine's own initial_placement_wall_ms —
+// placement only, excluding fleet/workload construction and telemetry
+// priming — and `setup_ms` on the counter is the whole setup() for
+// context.  Results are recorded into BENCH_engine.json (see
+// benchutil::record_bench) next to the perf_engine trajectory.
 
 #include <benchmark/benchmark.h>
 
@@ -26,14 +23,13 @@ namespace {
 
 void bm_place_initial(benchmark::State& state) {
     const double scale = static_cast<double>(state.range(0)) / 1000.0;
-    const auto threads = static_cast<unsigned>(state.range(1));
     double best_ms = std::numeric_limits<double>::infinity();
     double placements_per_s = 0.0;
     for (auto _ : state) {
         sci::engine_config config;
         config.scenario.scale = scale;
         config.scenario.seed = 42;
-        config.threads = threads;
+        config.threads = 0;
         sci::sim_engine engine(config);
         const auto begin = std::chrono::steady_clock::now();
         engine.setup();  // places the whole initial population
@@ -54,26 +50,14 @@ void bm_place_initial(benchmark::State& state) {
             static_cast<double>(engine.stats().placements);
         state.counters["place_ms"] = place_ms;
         state.counters["placements/s"] = placements_per_s;
-        state.counters["spec_committed"] =
-            static_cast<double>(engine.stats().speculative_placements);
-        state.counters["spec_misses"] =
-            static_cast<double>(engine.stats().speculation_misses);
     }
-    sci::benchutil::record_bench("bm_place_initial/scale=" +
-                                     std::to_string(state.range(0)) +
-                                     "m/threads=" + std::to_string(threads),
-                                 best_ms, placements_per_s);
+    sci::benchutil::record_bench(
+        "bm_place_initial/scale=" + std::to_string(state.range(0)) + "m",
+        best_ms, placements_per_s);
 }
 
 }  // namespace
 
-BENCHMARK(bm_place_initial)
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({100, 4})
-    ->Args({250, 0})
-    ->Args({250, 1})
-    ->Args({250, 4})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_place_initial)->Arg(100)->Arg(250)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -18,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <string>
 
@@ -27,17 +26,10 @@
 
 namespace {
 
-int env_bench_days() {
-    const char* v = std::getenv("SCI_BENCH_DAYS");
-    if (v == nullptr) return 0;
-    const int days = std::atoi(v);
-    return days > 0 ? days : 0;
-}
-
 void bm_region_grid(benchmark::State& state) {
     const auto regions = static_cast<std::size_t>(state.range(0));
     const auto threads = static_cast<unsigned>(state.range(1));
-    const int cap_days = env_bench_days();
+    const int cap_days = sci::benchutil::env_bench_days();
     double best_ms = std::numeric_limits<double>::infinity();
     double samples_per_s = 0.0;
     for (auto _ : state) {

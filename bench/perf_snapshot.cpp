@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -22,13 +21,6 @@
 #include "snapshot/whatif.hpp"
 
 namespace {
-
-int env_bench_days() {
-    const char* v = std::getenv("SCI_BENCH_DAYS");
-    if (v == nullptr) return 0;
-    const int days = std::atoi(v);
-    return days > 0 ? days : 0;
-}
 
 double ms_since(std::chrono::steady_clock::time_point begin) {
     return std::chrono::duration<double, std::milli>(
@@ -47,7 +39,7 @@ int main() {
 
     engine_config config = benchutil::default_config();
     config.scenario.scale = 0.25;  // the ablation acceptance point
-    const int cap_days = env_bench_days();
+    const int cap_days = sci::benchutil::env_bench_days();
     const int window_days = cap_days > 0 ? cap_days : 30;
     const sim_time window_end = days(window_days);
     // fork point at 95% of the window: the what-if is "from here, what

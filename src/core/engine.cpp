@@ -346,55 +346,14 @@ void sim_engine::place_initial_population() {
                          return a->created_at < b->created_at;
                      });
 
-    const auto schedule_deletion = [this](const vm_plan* plan) {
-        if (!plan->deleted_at.has_value()) return;
-        queue_.schedule_at(*plan->deleted_at,
-                           engine_event{engine_event::action::delete_vm,
-                                        plan->vm.value()});
-    };
-
-    if (config_.holistic) {
-        // the holistic ablation places straight onto nodes — no conductor,
-        // nothing to speculate against
-        for (const vm_plan* plan : order) {
-            if (place_vm(plan->vm, plan->created_at)) schedule_deletion(plan);
-        }
-        stats_.initial_placement_wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - wall_begin)
-                .count();
-        return;
-    }
-
-    // Speculative batched placement: a batch speculates against the host
-    // view as it stands, then commits in creation order.  The commit is
-    // exact, so placements match the plain serial loop byte for byte.
-    //
-    // Speculation raws may be reused at commit only while every host
-    // field they read is unchanged; that includes the contention feed,
-    // which is safe here because no scrape has run yet (the first fires
-    // at t = 0, after setup), so the EWMA is zero on both sides.
-    const std::size_t n = order.size();
-    spec_slots_.resize(std::min(n, placement_batch_size));
-    for (std::size_t begin = 0; begin < n; begin += placement_batch_size) {
-        const std::size_t count = std::min(placement_batch_size, n - begin);
-        conductor_->snapshot_claim_counts(spec_claim_counts_);
-        const std::vector<host_state>& hosts = conductor_->host_states();
-        for (std::size_t i = 0; i < count; ++i) {
-            speculate(order[begin + i]->vm, hosts, spec_slots_[i]);
-        }
-        // commit pass, in creation order
-        for (std::size_t i = 0; i < count; ++i) {
-            const vm_plan* plan = order[begin + i];
-            if (place_vm(plan->vm, plan->created_at,
-                         lifecycle_event_kind::create, &spec_slots_[i],
-                         spec_claim_counts_)) {
-                schedule_deletion(plan);
-            }
+    for (const vm_plan* plan : order) {
+        if (place_vm(plan->vm, plan->created_at) &&
+            plan->deleted_at.has_value()) {
+            queue_.schedule_at(*plan->deleted_at,
+                               engine_event{engine_event::action::delete_vm,
+                                            plan->vm.value()});
         }
     }
-    stats_.speculative_placements = conductor_->speculative_placement_count();
-    stats_.speculation_misses = conductor_->speculation_miss_count();
     stats_.initial_placement_wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - wall_begin)
@@ -444,42 +403,18 @@ void sim_engine::schedule_window_events() {
 
 void sim_engine::drain_arrivals(sim_time t) {
     const auto wall_begin = std::chrono::steady_clock::now();
-    const bool speculative = !config_.holistic;
     while (arrival_cursor_ < arrivals_.size() &&
            arrivals_[arrival_cursor_].created_at == t) {
-        if (speculative) {
-            // Re-checked per arrival: a shrink can happen mid-drain (the
-            // forced-fit failure path releases the claim it just made).
-            if (window_spec_active_ &&
-                (placement_.shrink_version() != spec_shrink_version_ ||
-                 (config_.contention_aware && stats_.scrapes != spec_scrapes_))) {
-                // usage no longer monotone since the snapshot (or the
-                // contention feed moved): the uncommitted tail cannot be
-                // committed exactly — drop it and re-speculate below
-                stats_.window_speculation_invalidated +=
-                    static_cast<std::uint64_t>(spec_end_ - arrival_cursor_);
-                window_spec_active_ = false;
-            }
-            if (!window_spec_active_ || arrival_cursor_ >= spec_end_) {
-                speculate_arrival_batch(t);
-            }
-        }
-        const host_speculation* spec =
-            window_spec_active_ ? &spec_slots_[arrival_cursor_ - spec_begin_]
-                                : nullptr;
         const vm_id vm = arrivals_[arrival_cursor_].vm;
         const std::optional<sim_time> deleted_at =
             arrivals_[arrival_cursor_].deleted_at;
         ++arrival_cursor_;
-        const std::uint64_t spec_ok = conductor_->speculative_placement_count();
-        const std::uint64_t spec_miss = conductor_->speculation_miss_count();
         // Under backpressure a failed arrival is not a terminal
         // schedule_fail: it is admitted to the bounded deadline queue (or
         // shed with a reason when that is full).  The planned deletion is
         // only scheduled once the VM actually places.
         const bool quiet = bp_ != nullptr;
-        if (place_vm(vm, t, lifecycle_event_kind::create, spec,
-                     spec_claim_counts_, quiet)) {
+        if (place_vm(vm, t, lifecycle_event_kind::create, quiet)) {
             if (deleted_at.has_value()) {
                 queue_.schedule_at(
                     *deleted_at,
@@ -489,13 +424,6 @@ void sim_engine::drain_arrivals(sim_time t) {
             bp_admit(vm, t, bp_request_kind::create,
                      deleted_at.value_or(bp_queued_request::no_deletion));
         }
-        stats_.window_speculative_placements +=
-            conductor_->speculative_placement_count() - spec_ok;
-        stats_.window_speculation_misses +=
-            conductor_->speculation_miss_count() - spec_miss;
-    }
-    if (window_spec_active_ && arrival_cursor_ >= spec_end_) {
-        window_spec_active_ = false;  // batch fully committed
     }
     if (arrival_cursor_ < arrivals_.size()) {
         // re-arm in the same pinned slot: the tie order above holds at
@@ -508,38 +436,6 @@ void sim_engine::drain_arrivals(sim_time t) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - wall_begin)
             .count();
-}
-
-void sim_engine::speculate_arrival_batch(sim_time t) {
-    // batch = the pending arrivals of the current scrape interval (the
-    // longest stretch over which the contention feed is guaranteed
-    // stationary), capped at placement_batch_size
-    const sim_time horizon =
-        (t / config_.sampling_interval + 1) * config_.sampling_interval;
-    std::size_t end = arrival_cursor_;
-    while (end < arrivals_.size() && arrivals_[end].created_at < horizon &&
-           end - arrival_cursor_ < placement_batch_size) {
-        ++end;
-    }
-    const std::size_t count = end - arrival_cursor_;
-    // the caller only speculates when an arrival is due at t, so the
-    // batch is never empty (arrivals_[cursor].created_at == t < horizon)
-    if (spec_slots_.size() < count) spec_slots_.resize(count);
-    conductor_->snapshot_claim_counts(spec_claim_counts_);
-    const std::vector<host_state>& hosts = conductor_->host_states();
-    for (std::size_t i = 0; i < count; ++i) {
-        speculate(arrivals_[arrival_cursor_ + i].vm, hosts, spec_slots_[i]);
-    }
-    spec_begin_ = arrival_cursor_;
-    spec_end_ = end;
-    spec_shrink_version_ = placement_.shrink_version();
-    spec_scrapes_ = stats_.scrapes;
-    window_spec_active_ = true;
-    ++stats_.window_batches;
-    stats_.window_speculations += static_cast<std::uint64_t>(count);
-    churn_batch_spans_.push_back({arrivals_[spec_begin_].created_at,
-                                  arrivals_[end - 1].created_at,
-                                  static_cast<std::uint32_t>(count)});
 }
 
 // ---------------------------------------------------------------------------
@@ -566,28 +462,14 @@ schedule_request sim_engine::request_for(vm_id vm) const {
     return request;
 }
 
-void sim_engine::speculate(vm_id vm, std::span<const host_state> hosts,
-                           host_speculation& out) const {
-    const schedule_request request = request_for(vm);
-    conductor_->scheduler().speculate(
-        request_context{request, scenario_.catalog.get(request.flavor)}, hosts,
-        out);
-}
-
 bool sim_engine::place_vm(vm_id vm, sim_time when, lifecycle_event_kind kind,
-                          const host_speculation* spec,
-                          std::span<const std::uint64_t> spec_counts,
                           bool quiet_fail) {
     if (config_.holistic) return place_vm_holistic(vm, when, kind, quiet_fail);
 
     vm_record& rec = vms_.get_mutable(vm);
     const flavor& f = scenario_.catalog.get(rec.flavor);
-    const schedule_request request = request_for(vm);
-
-    // On a speculation miss the conductor resets the outcome before the
-    // serial re-placement, so its attempts are counted exactly once here.
     const placement_outcome outcome =
-        conductor_->schedule_and_claim(request, spec, spec_counts);
+        conductor_->schedule_and_claim(request_for(vm));
     stats_.scheduler_retries +=
         outcome.attempts > 0 ? static_cast<std::uint64_t>(outcome.attempts - 1) : 0;
     if (!outcome.success) {
@@ -608,15 +490,7 @@ bool sim_engine::place_vm(vm_id vm, sim_time when, lifecycle_event_kind kind,
         // BB-level aggregate space exists but no single node fits: the
         // fragmentation blind spot of the two-layer design.  The cluster
         // force-admits onto the least-reserved accepting node.
-        const node_runtime* best = nullptr;
-        double best_ratio = std::numeric_limits<double>::infinity();
-        for (const node_runtime& nr : cluster.nodes()) {
-            if (!nr.accepting()) continue;
-            if (nr.ram_reserved_ratio() < best_ratio) {
-                best_ratio = nr.ram_reserved_ratio();
-                best = &nr;
-            }
-        }
+        const node_runtime* best = least_reserved_accepting(cluster);
         if (best == nullptr) {
             placement_.release(vm, f);
             if (quiet_fail) return false;
@@ -838,15 +712,7 @@ std::size_t sim_engine::evacuate_node(node_id node, sim_time t,
         std::optional<node_id> target = cluster.initial_placement(f);
         if (!target.has_value()) {
             // force-admit on the least-reserved accepting node
-            const node_runtime* best = nullptr;
-            double best_ratio = std::numeric_limits<double>::infinity();
-            for (const node_runtime& other : cluster.nodes()) {
-                if (!other.accepting()) continue;
-                if (other.ram_reserved_ratio() < best_ratio) {
-                    best_ratio = other.ram_reserved_ratio();
-                    best = &other;
-                }
-            }
+            const node_runtime* best = least_reserved_accepting(cluster);
             if (best == nullptr) {
                 // cluster fully out of service: the VM is terminated —
                 // recorded like any other deletion, so the log accounts
@@ -881,6 +747,20 @@ std::size_t sim_engine::evacuate_node(node_id node, sim_time t,
                                        .to = *target});
     }
     return residents.size();
+}
+
+const node_runtime* sim_engine::least_reserved_accepting(
+    const drs_cluster& cluster) {
+    const node_runtime* best = nullptr;
+    double best_ratio = std::numeric_limits<double>::infinity();
+    for (const node_runtime& nr : cluster.nodes()) {
+        if (!nr.accepting()) continue;
+        if (nr.ram_reserved_ratio() < best_ratio) {
+            best_ratio = nr.ram_reserved_ratio();
+            best = &nr;
+        }
+    }
+    return best;
 }
 
 // ---------------------------------------------------------------------------
@@ -1176,29 +1056,13 @@ void sim_engine::cross_bb_pass(sim_time t) {
                                    f.wclass == workload_class::hana_db);
     };
 
-    // Speculate every planned move's destination node as a batch
-    // (initial_placement is a pure read of the target cluster), each
-    // stamped with its cluster's usage version.  The commit below
-    // consumes a target only while the version still matches — then the
-    // cluster is bitwise what the speculation saw, so the target equals
-    // the recompute the old serial loop did — and otherwise drops the
-    // batch tail and re-speculates it against the live clusters (an
-    // earlier commit or abort rollback moved usage mid-batch).
-    const std::vector<cross_bb_move> moves = rebalancer.plan(placement_, inputs);
-    speculate_cross_bb_targets(moves, 0);
-
-    for (std::size_t i = 0; i < moves.size(); ++i) {
-        const cross_bb_move& move = moves[i];
+    // Each planned move picks its destination node when it commits, on
+    // the target cluster as earlier commits of the pass left it.
+    for (const cross_bb_move& move : rebalancer.plan(placement_, inputs)) {
         vm_record& rec = vms_.get_mutable(move.vm);
         const flavor& f = scenario_.catalog.get(rec.flavor);
         drs_cluster& to_cluster = cluster_of(move.to);
-        if (cross_bb_targets_[i].version != to_cluster.usage_version()) {
-            stats_.rebalance_target_invalidated +=
-                static_cast<std::uint64_t>(moves.size() - i);
-            speculate_cross_bb_targets(moves, i);
-        }
-        ++stats_.rebalance_targets_used;
-        const std::optional<node_id> target = cross_bb_targets_[i].node;
+        const std::optional<node_id> target = to_cluster.initial_placement(f);
         if (!target.has_value()) continue;  // node-level fragmentation
         if (migration_aborted()) {
             // the cross-BB pre-copy failed; nothing was committed yet, so
@@ -1231,21 +1095,6 @@ void sim_engine::cross_bb_pass(sim_time t) {
         queue_.schedule_at(next,
                            engine_event{engine_event::action::cross_bb_pass});
     }
-}
-
-void sim_engine::speculate_cross_bb_targets(
-    const std::vector<cross_bb_move>& moves, std::size_t from) {
-    // Pure per-move reads: initial_placement scans the target cluster's
-    // nodes and the flavor resolves through const registries.
-    cross_bb_targets_.resize(moves.size());
-    for (std::size_t i = from; i < moves.size(); ++i) {
-        const flavor& f = scenario_.catalog.get(vms_.get(moves[i].vm).flavor);
-        const drs_cluster& cluster = cluster_of(moves[i].to);
-        cross_bb_targets_[i] = {cluster.initial_placement(f),
-                                cluster.usage_version()};
-    }
-    stats_.rebalance_target_speculations +=
-        static_cast<std::uint64_t>(moves.size() - from);
 }
 
 void sim_engine::schedule_resizes() {
@@ -1459,8 +1308,8 @@ void sim_engine::begin_az_outage(az_id az, sim_time t) {
     // Crash every in-service host of the zone at the same instant: one
     // detection epoch.  Each node's victims enqueue at t + restart_delay,
     // so the whole zone's standing population re-places as consecutive
-    // due-together groups through the batched speculate/commit pipeline —
-    // absorbed by the surviving zones (or NoValidHost when they cannot).
+    // due-together groups through the conductor — absorbed by the
+    // surviving zones (or NoValidHost when they cannot).
     // Hosts that are already down (crashed or in maintenance) keep their
     // own repair clock and are not re-crashed.
     for (const bb_id bb : scenario_.infrastructure.bbs_of_az(az)) {
@@ -1509,59 +1358,10 @@ void sim_engine::drain_ha_restarts(sim_time t) {
     const ha_group group = std::move(ha_groups_.front());
     ha_groups_.pop_front();
 
-    const bool speculative = !config_.holistic;
     std::vector<vm_id> failed;  // victims granted another attempt
-    for (std::size_t v = 0; v < group.victims.size(); ++v) {
-        const vm_id vm = group.victims[v];
-        if (!ha_->pending(vm)) {
-            // deleted while down; consume its slot if it was speculated
-            if (ha_spec_active_ && ha_spec_cursor_ < ha_spec_vms_.size() &&
-                ha_spec_vms_[ha_spec_cursor_] == vm) {
-                ++ha_spec_cursor_;
-                ++stats_.recovery_speculation_cancelled;
-            }
-            continue;
-        }
-        const host_speculation* spec = nullptr;
-        if (speculative) {
-            // Re-checked per victim: the batch may span groups (and so
-            // stay open across events), and even mid-drain the forced-fit
-            // failure path releases the claim it just made.
-            if (ha_spec_active_ &&
-                (placement_.shrink_version() != ha_spec_shrink_version_ ||
-                 (config_.contention_aware && stats_.scrapes != ha_spec_scrapes_))) {
-                stats_.recovery_speculation_invalidated +=
-                    static_cast<std::uint64_t>(ha_spec_vms_.size() -
-                                               ha_spec_cursor_);
-                ha_spec_active_ = false;
-            }
-            if (!ha_spec_active_ || ha_spec_cursor_ >= ha_spec_vms_.size()) {
-                speculate_recovery_batch(t, group.victims, v);
-                // the fresh batch starts at this victim by construction
-                expects(ha_spec_vms_[ha_spec_cursor_] == vm,
-                        "sim_engine::drain_ha_restarts: batch out of order");
-            }
-            // Covered groups drain in due order, so their victims find
-            // themselves at the cursor.  A group enqueued after the batch
-            // was speculated (a retry round, a fresh crash epoch) can
-            // drain between two covered groups when its due time lands
-            // there: its victims hold no slot and place unspeculated,
-            // leaving the batch open for the next covered group — the
-            // claim counters keep the untouched slots exact.
-            if (ha_spec_vms_[ha_spec_cursor_] == vm) {
-                spec = &ha_spec_slots_[ha_spec_cursor_];
-                ++ha_spec_cursor_;
-            }
-        }
-        const std::uint64_t spec_ok = conductor_->speculative_placement_count();
-        const std::uint64_t spec_miss = conductor_->speculation_miss_count();
-        const bool placed = place_vm(vm, t, lifecycle_event_kind::ha_restart,
-                                     spec, ha_spec_claim_counts_);
-        stats_.recovery_speculative_placements +=
-            conductor_->speculative_placement_count() - spec_ok;
-        stats_.recovery_speculation_misses +=
-            conductor_->speculation_miss_count() - spec_miss;
-        if (placed) {
+    for (const vm_id vm : group.victims) {
+        if (!ha_->pending(vm)) continue;  // deleted while down
+        if (place_vm(vm, t, lifecycle_event_kind::ha_restart)) {
             ha_->on_restart_success(vm, t);
             ++stats_.ha_restarts;
             continue;
@@ -1587,9 +1387,6 @@ void sim_engine::drain_ha_restarts(sim_time t) {
                 .reason = schedule_fail_reason::ha_attempts_exhausted});
         }
     }
-    if (ha_spec_active_ && ha_spec_cursor_ >= ha_spec_vms_.size()) {
-        ha_spec_active_ = false;  // batch fully consumed
-    }
     if (!failed.empty()) {
         // one retry group per drain: the old code scheduled the per-victim
         // retries back to back (nothing else allocates sequence numbers
@@ -1601,51 +1398,6 @@ void sim_engine::drain_ha_restarts(sim_time t) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - wall_begin)
             .count();
-}
-
-void sim_engine::speculate_recovery_batch(sim_time t,
-                                          const std::vector<vm_id>& victims,
-                                          std::size_t from) {
-    // batch = the still-pending victims from `victims[from]` onward plus
-    // the queued groups due within the current scrape interval (the
-    // longest stretch over which the contention feed is stationary),
-    // capped at placement_batch_size
-    const sim_time horizon =
-        (t / config_.sampling_interval + 1) * config_.sampling_interval;
-    ha_spec_vms_.clear();
-    sim_time last_due = t;
-    for (std::size_t i = from; i < victims.size(); ++i) {
-        if (ha_spec_vms_.size() >= placement_batch_size) break;
-        if (ha_->pending(victims[i])) ha_spec_vms_.push_back(victims[i]);
-    }
-    for (const ha_group& g : ha_groups_) {
-        if (g.due >= horizon || ha_spec_vms_.size() >= placement_batch_size) {
-            break;
-        }
-        for (const vm_id vm : g.victims) {
-            if (ha_spec_vms_.size() >= placement_batch_size) break;
-            if (!ha_->pending(vm)) continue;
-            ha_spec_vms_.push_back(vm);
-            last_due = g.due;
-        }
-    }
-    const std::size_t count = ha_spec_vms_.size();
-    // the caller only speculates for a victim that is still pending, so
-    // the batch is never empty
-    if (ha_spec_slots_.size() < count) ha_spec_slots_.resize(count);
-    conductor_->snapshot_claim_counts(ha_spec_claim_counts_);
-    const std::vector<host_state>& hosts = conductor_->host_states();
-    for (std::size_t i = 0; i < count; ++i) {
-        speculate(ha_spec_vms_[i], hosts, ha_spec_slots_[i]);
-    }
-    ha_spec_cursor_ = 0;
-    ha_spec_shrink_version_ = placement_.shrink_version();
-    ha_spec_scrapes_ = stats_.scrapes;
-    ha_spec_active_ = true;
-    ++stats_.recovery_batches;
-    stats_.recovery_speculations += static_cast<std::uint64_t>(count);
-    recovery_batch_spans_.push_back(
-        {t, last_due, static_cast<std::uint32_t>(count)});
 }
 
 bool sim_engine::migration_aborted() {
@@ -1792,25 +1544,29 @@ void sim_engine::bp_shed(const bp_queued_request& req, sim_time t,
                                    .reason = reason});
 }
 
+bool sim_engine::bp_retire_if_deleted(const bp_queued_request& req,
+                                      sim_time t) {
+    if (req.kind != bp_request_kind::create ||
+        req.deleted_at == bp_queued_request::no_deletion ||
+        req.deleted_at > t) {
+        return false;
+    }
+    vm_record& rec = vms_.get_mutable(req.vm);
+    rec.state = vm_state::deleted;
+    rec.deleted_at = req.deleted_at;
+    ++stats_.deletions;
+    ++stats_.bp_cancelled;
+    events_.record(lifecycle_event{
+        .t = t, .kind = lifecycle_event_kind::remove, .vm = req.vm});
+    return true;
+}
+
 void sim_engine::bp_expire_overdue(sim_time t) {
     for (const bp_queued_request& req : bp_->expire(t)) {
-        if (req.kind == bp_request_kind::create &&
-            req.deleted_at != bp_queued_request::no_deletion &&
-            req.deleted_at <= t) {
-            // the owner's planned deletion already passed: had the VM
-            // placed it would be gone by now — retire it as a deletion,
-            // not a shed
-            vm_record& rec = vms_.get_mutable(req.vm);
-            rec.state = vm_state::deleted;
-            rec.deleted_at = req.deleted_at;
-            ++stats_.deletions;
-            ++stats_.bp_cancelled;
-            events_.record(lifecycle_event{
-                .t = t, .kind = lifecycle_event_kind::remove, .vm = req.vm});
-        } else {
-            ++stats_.bp_shed_deadline;
-            bp_shed(req, t, schedule_fail_reason::deadline_expired);
-        }
+        // a retired request is a deletion, not a shed
+        if (bp_retire_if_deleted(req, t)) continue;
+        ++stats_.bp_shed_deadline;
+        bp_shed(req, t, schedule_fail_reason::deadline_expired);
     }
 }
 
@@ -1826,16 +1582,7 @@ void sim_engine::drain_backpressure(sim_time t) {
     std::size_t i = 0;
     while (i < bp_->size()) {
         const bp_queued_request req = bp_->at(i);
-        if (req.kind == bp_request_kind::create &&
-            req.deleted_at != bp_queued_request::no_deletion &&
-            req.deleted_at <= t) {
-            vm_record& rec = vms_.get_mutable(req.vm);
-            rec.state = vm_state::deleted;
-            rec.deleted_at = req.deleted_at;
-            ++stats_.deletions;
-            ++stats_.bp_cancelled;
-            events_.record(lifecycle_event{
-                .t = t, .kind = lifecycle_event_kind::remove, .vm = req.vm});
+        if (bp_retire_if_deleted(req, t)) {
             bp_->erase(i);
             continue;
         }
@@ -1843,7 +1590,7 @@ void sim_engine::drain_backpressure(sim_time t) {
             req.kind == bp_request_kind::ha_restart
                 ? lifecycle_event_kind::ha_restart
                 : lifecycle_event_kind::create;
-        if (place_vm(req.vm, t, kind, nullptr, {}, /*quiet_fail=*/true)) {
+        if (place_vm(req.vm, t, kind, /*quiet_fail=*/true)) {
             ++stats_.bp_queue_placed;
             if (req.kind == bp_request_kind::create &&
                 req.deleted_at != bp_queued_request::no_deletion) {

@@ -23,7 +23,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -150,40 +149,41 @@ struct field_info {
     /// Scenario DSL `key` in `[section]`; empty when the DSL does not set it.
     std::string_view section = {};
     std::string_view key = {};
-    /// Snapshot format versions that carry the member: since..until
-    /// (until 0 = every version from `since` on).
-    std::uint32_t since = 1;
-    std::uint32_t until = 0;
+    /// Carried in the snapshot payload.
+    bool in_snapshot = true;
     merge_rule merge = merge_rule::none;
-    /// False for host timings, which stay out of fingerprints and
-    /// comparisons.
+    /// False for host timings and retired counters, which stay out of
+    /// fingerprints and comparisons.
     bool deterministic = true;
-
-    constexpr bool in_format(std::uint32_t version) const {
-        return version >= since && (until == 0 || version <= until);
-    }
 };
 
 namespace fields {
 /// A config member the DSL sets as `key` in `[section]`.
 constexpr field_info dsl(std::string_view name, std::string_view section,
-                         std::string_view key, std::uint32_t since = 1) {
-    return {name, section, key, since};
+                         std::string_view key) {
+    return {name, section, key};
 }
 /// A config member outside the DSL.
-constexpr field_info plain(std::string_view name, std::uint32_t until = 0) {
-    return {name, {}, {}, 1, until};
+constexpr field_info plain(std::string_view name) { return {name}; }
+/// A config member the engine recomputes at setup, so snapshots do not
+/// carry it.
+constexpr field_info derived(std::string_view name) {
+    return {name, {}, {}, false};
 }
 /// A deterministic run_stats counter.
 constexpr field_info stat(std::string_view name,
-                          merge_rule merge = merge_rule::sum,
-                          std::uint32_t since = 1) {
-    return {name, {}, {}, since, 0, merge};
+                          merge_rule merge = merge_rule::sum) {
+    return {name, {}, {}, true, merge};
 }
 /// A run_stats host timing: summed across regions, never fingerprinted,
-/// and not stored in snapshots from format v3 on.
+/// and not stored in snapshots.
 constexpr field_info host_timing(std::string_view name) {
-    return {name, {}, {}, 1, 2, merge_rule::sum, false};
+    return {name, {}, {}, false, merge_rule::sum, false};
+}
+/// A retired run_stats counter, always zero: treated like a host timing
+/// until its last reader is gone.
+constexpr field_info retired(std::string_view name) {
+    return host_timing(name);
 }
 }  // namespace fields
 
@@ -193,6 +193,7 @@ constexpr field_info host_timing(std::string_view name) {
 template <class Visitor, class... Config>
     requires(std::same_as<std::remove_const_t<Config>, engine_config> && ...)
 constexpr void for_each_field(Visitor&& v, Config&... c) {
+    using fields::derived;
     using fields::dsl;
     using fields::plain;
     v(dsl("scenario.scale", "engine", "scale"), c.scenario.scale...);
@@ -216,13 +217,13 @@ constexpr void for_each_field(Visitor&& v, Config&... c) {
     v(plain("store.days"), c.store.days...);
     v(plain("store.keep_raw"), c.store.keep_raw...);
     // overwritten by the engine at setup (scale and seed decide them)
-    v(plain("population.initial_population", 2),
+    v(derived("population.initial_population"),
       c.population.initial_population...);
     v(dsl("population.daily_churn_fraction", "engine", "daily_churn_fraction"),
       c.population.daily_churn_fraction...);
     v(dsl("population.project_count", "engine", "project_count"),
       c.population.project_count...);
-    v(plain("population.seed", 2), c.population.seed...);
+    v(derived("population.seed"), c.population.seed...);
     v(dsl("contention_aware", "engine", "contention_aware"),
       c.contention_aware...);
     v(plain("contention_filter_threshold_pct"),
@@ -284,11 +285,10 @@ constexpr void for_each_field(Visitor&& v, Config&... c) {
       c.fault.ha_max_restart_attempts...);
     v(dsl("fault.crash_repair_time", "fault", "crash_repair_time"),
       c.fault.crash_repair_time...);
-    v(dsl("backpressure.mode", "backpressure", "mode", 2),
-      c.backpressure.mode...);
-    v(dsl("backpressure.queue_capacity", "backpressure", "queue_capacity", 2),
+    v(dsl("backpressure.mode", "backpressure", "mode"), c.backpressure.mode...);
+    v(dsl("backpressure.queue_capacity", "backpressure", "queue_capacity"),
       c.backpressure.queue_capacity...);
-    v(dsl("backpressure.queue_deadline", "backpressure", "queue_deadline", 2),
+    v(dsl("backpressure.queue_deadline", "backpressure", "queue_deadline"),
       c.backpressure.queue_deadline...);
 }
 
@@ -318,71 +318,28 @@ struct run_stats {
     /// Worst estimated stop-and-copy downtime of any migration (ms).
     double max_migration_downtime_ms = 0.0;
 
-    // --- speculative initial placement -----------------------------------
-    // The batched pipeline runs on the event loop's thread at every thread
-    // count, so these counters — which appear in the report — are
-    // identical at any SCI_THREADS.
-    /// Initial placements committed straight from a speculative
-    /// filter+weigh result (exactly revalidated at commit).
-    std::uint64_t speculative_placements = 0;
-    /// Speculations fully invalidated by earlier commits in their batch;
-    /// the VM was re-placed through the serial retry loop.
-    std::uint64_t speculation_misses = 0;
-    /// Wall-clock of place_initial_population (host timing for benches —
-    /// NOT part of the deterministic output, excluded from comparisons).
+    // --- placement host timings -------------------------------------------
+    // Wall-clock of place_initial_population, of the churn drains and of
+    // the HA restart drains (host timings for benches — NOT part of the
+    // deterministic output, excluded from comparisons).
     double initial_placement_wall_ms = 0.0;
-
-    // --- batched churn-arrival placement ----------------------------------
-    // In-window arrivals are grouped per scrape interval and driven
-    // through the same speculate/commit pipeline, so every counter here is
-    // identical at any SCI_THREADS.
-    std::uint64_t window_batches = 0;       ///< speculation batches launched
-    std::uint64_t window_speculations = 0;  ///< arrivals speculated in-window
-    /// Arrivals committed straight from a window speculation.
-    std::uint64_t window_speculative_placements = 0;
-    /// Window speculations whose corrected candidates were exhausted at
-    /// commit; the arrival continued through the ordinary retry rounds.
-    std::uint64_t window_speculation_misses = 0;
-    /// Speculations dropped before commit because provider usage shrank
-    /// (deletion / evacuation / crash / resize) or the contention feed
-    /// moved since the batch snapshot; the tail of the batch re-speculates.
-    std::uint64_t window_speculation_invalidated = 0;
-    /// Wall-clock spent draining churn arrivals (host timing for benches —
-    /// NOT part of the deterministic output, excluded from comparisons).
     double churn_placement_wall_ms = 0.0;
-
-    // --- batched HA recovery placement ------------------------------------
-    // After a crash the detection epoch's victim queue is re-placed as a
-    // batch through the same speculate/commit pipeline; all zero when
-    // faults are off or the run is holistic.
-    std::uint64_t recovery_batches = 0;      ///< speculation batches launched
-    std::uint64_t recovery_speculations = 0; ///< victims speculated
-    /// Victims committed straight from a recovery speculation.
-    std::uint64_t recovery_speculative_placements = 0;
-    /// Recovery speculations whose corrected candidates were exhausted at
-    /// commit; the victim continued through the ordinary retry rounds.
-    std::uint64_t recovery_speculation_misses = 0;
-    /// Speculations dropped because usage shrank (another crash, deletion,
-    /// evacuation, resize) or the contention feed moved since the batch
-    /// snapshot; the tail of the victim queue re-speculates.
-    std::uint64_t recovery_speculation_invalidated = 0;
-    /// Speculated victims deleted by their owner before the restart fired.
-    std::uint64_t recovery_speculation_cancelled = 0;
-    /// Wall-clock spent draining HA restarts (host timing for benches —
-    /// NOT part of the deterministic output, excluded from comparisons).
     double recovery_placement_wall_ms = 0.0;
 
-    // --- batched cross-BB target speculation -------------------------------
-    // A rebalance pass's planned moves have their destination nodes
-    // speculated as a batch against each target cluster's usage version;
-    // commits consume a target only while its cluster is unchanged, else
-    // the tail re-speculates.  Identical at any SCI_THREADS.
+    // --- retired speculation counters -------------------------------------
+    // Always zero: every request places through the conductor's one loop.
+    // perfbench's per-layer sheet still reads them, so they stay declared
+    // (out of fingerprints, comparisons and snapshots) until it drops them.
+    std::uint64_t speculative_placements = 0;
+    std::uint64_t speculation_misses = 0;
+    std::uint64_t window_speculations = 0;
+    std::uint64_t window_speculative_placements = 0;
+    std::uint64_t window_speculation_invalidated = 0;
+    std::uint64_t recovery_speculations = 0;
+    std::uint64_t recovery_speculative_placements = 0;
+    std::uint64_t recovery_speculation_invalidated = 0;
     std::uint64_t rebalance_target_speculations = 0;
-    /// Targets consumed at commit straight from the batch.
     std::uint64_t rebalance_targets_used = 0;
-    /// Targets dropped by a tail re-speculation after an earlier commit
-    /// (or abort rollback) moved usage under the batch.
-    std::uint64_t rebalance_target_invalidated = 0;
 
     // --- fault injection & HA recovery (all zero when faults are off) ----
     std::uint64_t az_outages = 0;       ///< AZ-level correlated outages fired
@@ -421,6 +378,7 @@ template <class Visitor, class... Stats>
     requires(std::same_as<std::remove_const_t<Stats>, run_stats> && ...)
 constexpr void for_each_field(Visitor&& v, Stats&... s) {
     using fields::host_timing;
+    using fields::retired;
     using fields::stat;
     constexpr merge_rule max = merge_rule::max;
     v(stat("placements"), s.placements...);
@@ -437,32 +395,25 @@ constexpr void for_each_field(Visitor&& v, Stats&... s) {
     v(stat("resize_failures"), s.resize_failures...);
     v(stat("migration_seconds"), s.migration_seconds...);
     v(stat("max_migration_downtime_ms", max), s.max_migration_downtime_ms...);
-    v(stat("speculative_placements"), s.speculative_placements...);
-    v(stat("speculation_misses"), s.speculation_misses...);
     v(host_timing("initial_placement_wall_ms"), s.initial_placement_wall_ms...);
-    v(stat("window_batches"), s.window_batches...);
-    v(stat("window_speculations"), s.window_speculations...);
-    v(stat("window_speculative_placements"),
-      s.window_speculative_placements...);
-    v(stat("window_speculation_misses"), s.window_speculation_misses...);
-    v(stat("window_speculation_invalidated"),
-      s.window_speculation_invalidated...);
     v(host_timing("churn_placement_wall_ms"), s.churn_placement_wall_ms...);
-    v(stat("recovery_batches"), s.recovery_batches...);
-    v(stat("recovery_speculations"), s.recovery_speculations...);
-    v(stat("recovery_speculative_placements"),
-      s.recovery_speculative_placements...);
-    v(stat("recovery_speculation_misses"), s.recovery_speculation_misses...);
-    v(stat("recovery_speculation_invalidated"),
-      s.recovery_speculation_invalidated...);
-    v(stat("recovery_speculation_cancelled"),
-      s.recovery_speculation_cancelled...);
     v(host_timing("recovery_placement_wall_ms"),
       s.recovery_placement_wall_ms...);
-    v(stat("rebalance_target_speculations"),
+    v(retired("speculative_placements"), s.speculative_placements...);
+    v(retired("speculation_misses"), s.speculation_misses...);
+    v(retired("window_speculations"), s.window_speculations...);
+    v(retired("window_speculative_placements"),
+      s.window_speculative_placements...);
+    v(retired("window_speculation_invalidated"),
+      s.window_speculation_invalidated...);
+    v(retired("recovery_speculations"), s.recovery_speculations...);
+    v(retired("recovery_speculative_placements"),
+      s.recovery_speculative_placements...);
+    v(retired("recovery_speculation_invalidated"),
+      s.recovery_speculation_invalidated...);
+    v(retired("rebalance_target_speculations"),
       s.rebalance_target_speculations...);
-    v(stat("rebalance_targets_used"), s.rebalance_targets_used...);
-    v(stat("rebalance_target_invalidated"), s.rebalance_target_invalidated...);
+    v(retired("rebalance_targets_used"), s.rebalance_targets_used...);
     v(stat("az_outages"), s.az_outages...);
     v(stat("host_crashes"), s.host_crashes...);
     v(stat("crash_victims"), s.crash_victims...);
@@ -471,17 +422,15 @@ constexpr void for_each_field(Visitor&& v, Stats&... s) {
     v(stat("migration_aborts"), s.migration_aborts...);
     v(stat("maintenance_evacuations"), s.maintenance_evacuations...);
     v(stat("wasted_migration_seconds"), s.wasted_migration_seconds...);
-    // backpressure counters arrived with snapshot format v2
-    v(stat("bp_enqueued", merge_rule::sum, 2), s.bp_enqueued...);
-    v(stat("bp_queue_placed", merge_rule::sum, 2), s.bp_queue_placed...);
-    v(stat("bp_shed_deadline", merge_rule::sum, 2), s.bp_shed_deadline...);
-    v(stat("bp_shed_queue_full", merge_rule::sum, 2), s.bp_shed_queue_full...);
-    v(stat("bp_shed_evicted", merge_rule::sum, 2), s.bp_shed_evicted...);
-    v(stat("bp_cancelled", merge_rule::sum, 2), s.bp_cancelled...);
-    v(stat("bp_regime_transitions", merge_rule::sum, 2),
-      s.bp_regime_transitions...);
-    v(stat("bp_peak_queue_len", max, 2), s.bp_peak_queue_len...);
-    v(stat("ha_give_ups", merge_rule::sum, 2), s.ha_give_ups...);
+    v(stat("bp_enqueued"), s.bp_enqueued...);
+    v(stat("bp_queue_placed"), s.bp_queue_placed...);
+    v(stat("bp_shed_deadline"), s.bp_shed_deadline...);
+    v(stat("bp_shed_queue_full"), s.bp_shed_queue_full...);
+    v(stat("bp_shed_evicted"), s.bp_shed_evicted...);
+    v(stat("bp_cancelled"), s.bp_cancelled...);
+    v(stat("bp_regime_transitions"), s.bp_regime_transitions...);
+    v(stat("bp_peak_queue_len", max), s.bp_peak_queue_len...);
+    v(stat("ha_give_ups"), s.ha_give_ups...);
 }
 
 /// Number of members in run_stats' field list.
@@ -585,24 +534,6 @@ public:
     /// Output is unaffected — sharding is fixed-count by contract.
     void set_shared_pool(thread_pool* pool);
 
-    /// Arrival-time span of one speculated churn batch (diagnostics: lets
-    /// tests prove batches straddled deletion / fault events in-window).
-    struct churn_batch_span {
-        sim_time first, last;
-        std::uint32_t size;
-    };
-    const std::vector<churn_batch_span>& churn_batches() const {
-        return churn_batch_spans_;
-    }
-
-    /// Victim-due-time span of one speculated HA recovery batch (first =
-    /// the drain that opened the batch, last = the due time of the last
-    /// victim group it covered — diagnostics: lets tests prove a batch
-    /// straddled a second crash event).
-    const std::vector<churn_batch_span>& recovery_batches() const {
-        return recovery_batch_spans_;
-    }
-
     /// True once setup() ran (or the engine was restored from a snapshot).
     bool is_setup() const { return setup_done_; }
 
@@ -646,22 +577,18 @@ private:
     void place_initial_population();
     void schedule_window_events();
     void drain_arrivals(sim_time t);
-    void speculate_arrival_batch(sim_time t);
 
     /// The conductor request for `vm`: its flavor, project and policy.
     schedule_request request_for(vm_id vm) const;
-    /// Filter + raw-weigh `vm`'s request against `hosts` into `out`.
-    void speculate(vm_id vm, std::span<const host_state> hosts,
-                   host_speculation& out) const;
 
+    /// Place one request: through the conductor's schedule_and_claim and
+    /// the BB's DRS cluster, or straight onto a node when holistic.
     /// quiet_fail: on admission failure leave the VM's state untouched and
     /// record no schedule_fail event or failure counter — the caller (the
     /// backpressure layer) owns the request's terminal outcome.  Retry
     /// counters still accumulate.
     bool place_vm(vm_id vm, sim_time when,
                   lifecycle_event_kind kind = lifecycle_event_kind::create,
-                  const host_speculation* spec = nullptr,
-                  std::span<const std::uint64_t> spec_counts = {},
                   bool quiet_fail = false);
     bool place_vm_holistic(vm_id vm, sim_time when, lifecycle_event_kind kind,
                            bool quiet_fail = false);
@@ -680,6 +607,10 @@ private:
     /// when the cluster was fully out of service).
     std::size_t evacuate_node(node_id node, sim_time t,
                               lifecycle_event_kind kind);
+    /// The forced fit of the two-layer design: the accepting node of
+    /// `cluster` with the least reserved RAM, or null when none accepts.
+    static const node_runtime* least_reserved_accepting(
+        const drs_cluster& cluster);
     void schedule_resizes();
     void resize_vm(vm_id vm, sim_time t);
     migration_estimate estimate_vm_migration(vm_id vm, sim_time t);
@@ -695,21 +626,13 @@ private:
     /// Return the zone's outage-downed hosts to service.
     void end_az_outage(az_id az, sim_time t);
     /// Queue one detection epoch's victims (in event-time order) for a
-    /// batched restart at `due`, scheduling its drain event.
+    /// restart at `due`, scheduling its drain event.
     void enqueue_ha_group(sim_time due, std::vector<vm_id> victims);
-    /// Drain exactly one due victim group through the speculate/commit
-    /// pipeline; failed victims re-enter as one retry group at t+backoff.
+    /// Restart exactly one due victim group, victim by victim; failed
+    /// victims re-enter as one retry group at t+backoff.
     void drain_ha_restarts(sim_time t);
-    /// Open a recovery speculation batch over the pending victim queue,
-    /// starting at victims[from] of the group being drained.
-    void speculate_recovery_batch(sim_time t,
-                                  const std::vector<vm_id>& victims,
-                                  std::size_t from);
     /// Draw the next migration-abort decision (false when aborts are off).
     bool migration_aborted();
-    /// Speculate destination nodes for planned cross-BB moves [from, n).
-    void speculate_cross_bb_targets(const std::vector<cross_bb_move>& moves,
-                                    std::size_t from);
 
     // --- conductor backpressure -------------------------------------------
     void setup_backpressure();
@@ -724,6 +647,10 @@ private:
     /// Shed (or retire, when the owner's planned deletion already passed)
     /// every queue entry whose deadline has expired.
     void bp_expire_overdue(sim_time t);
+    /// Retire `req` as a deletion when it is a create whose owner's planned
+    /// deletion time has already passed at `t` (had it placed, it would be
+    /// gone by now); false, touching nothing, otherwise.
+    bool bp_retire_if_deleted(const bp_queued_request& req, sim_time t);
     /// Drain the queue at a capacity-release instant: expire overdue
     /// entries, then retry the rest in FIFO order (quiet failures keep
     /// entries queued).
@@ -844,87 +771,35 @@ private:
     std::vector<std::vector<node_demand>> shard_demand_;
     std::vector<scrape_node> scrape_nodes_;     ///< cluster-major, built once
 
-    // --- speculative initial placement ------------------------------------
-    // The creation-ordered plan is consumed in fixed-size batches: filter
-    // + raw-weigh runs for every VM of a batch against the conductor's
-    // host view as it stands (filter_scheduler::speculate), then a commit
-    // pass walks the batch in creation order and commits each speculation
-    // exactly (commit_speculation revalidates only providers claimed
-    // since the batch was speculated).  Placements are byte-identical to
-    // the plain serial loop.
-    static constexpr std::size_t placement_batch_size = 256;
-    std::vector<host_speculation> spec_slots_;  ///< per VM in batch
-    /// Conductor claim counters at the batch snapshot (initial + churn
-    /// batches — never open at the same time, so they share the buffer;
-    /// the HA pipeline has its own, since an HA drain can fire while a
-    /// churn batch is still open).
-    std::vector<std::uint64_t> spec_claim_counts_;
-
-    // --- batched churn-arrival placement ----------------------------------
+    // --- churn arrivals ---------------------------------------------------
     // In-window arrivals are pre-sorted by creation time and drained by
     // ONE self-rescheduling event pinned to a reserved heap sequence slot
     // (event_heap::schedule_at_pinned), so the tie order at equal
     // timestamps is exactly the per-arrival schedule it replaces while the
     // heap carries O(1) arrival entries instead of one per arrival.  Each
-    // drain extends the same speculate/commit pipeline into the event
-    // loop: the arrivals of the current scrape interval (capped at
-    // placement_batch_size) speculate against the host view of the
-    // moment, then commit in event-time order as they fall due.  A shrink
-    // (deletion / evacuation / crash / resize / cross-BB move) or a
-    // contention-feed move breaks the monotone-usage precondition of
-    // commit_speculation, so the uncommitted tail is dropped and
-    // re-speculated on the spot against the live view.
+    // drain places the arrivals due at its instant, in order.
     struct churn_arrival {
         vm_id vm;
         sim_time created_at;
         std::optional<sim_time> deleted_at;
     };
     std::vector<churn_arrival> arrivals_;    ///< stable-sorted by created_at
-    std::size_t arrival_cursor_ = 0;         ///< next arrival to commit
+    std::size_t arrival_cursor_ = 0;         ///< next arrival to place
     std::uint64_t arrival_drain_seq_ = 0;    ///< pinned heap sequence slot
-    bool window_spec_active_ = false;        ///< a batch awaits commit
-    std::size_t spec_begin_ = 0;             ///< batch range in arrivals_
-    std::size_t spec_end_ = 0;
-    std::uint64_t spec_shrink_version_ = 0;  ///< shrink counter at snapshot
-    std::uint64_t spec_scrapes_ = 0;         ///< scrape count at snapshot
-    std::vector<churn_batch_span> churn_batch_spans_;
 
-    // --- batched HA recovery placement -------------------------------------
+    // --- HA restart groups -----------------------------------------------
     // One crash's victims form a group due after the detection delay; the
     // group is drained by ONE event (scheduled where the per-victim restart
     // closures used to be, so the heap tie order is exactly what the old
-    // per-victim events produced) and re-placed through the same
-    // speculate/commit pipeline.  Speculation batches may span groups up
-    // to the scrape-interval horizon, so a batch can stay open across
-    // events — a second crash (a usage shrink) invalidates its tail, which
-    // re-speculates on the spot.  Victims whose restart fails re-enter as
-    // ONE retry group at t + backoff, preserving the per-victim
-    // retry/backoff/attempt-budget semantics bit for bit.
+    // per-victim events produced), which restarts its victims in order.
+    // Victims whose restart fails re-enter as ONE retry group at
+    // t + backoff, preserving the per-victim retry/backoff/attempt-budget
+    // semantics bit for bit.
     struct ha_group {
         sim_time due;
         std::vector<vm_id> victims;  ///< event-time (= vm id) order
     };
     std::deque<ha_group> ha_groups_;  ///< sorted by due, FIFO within ties
-    bool ha_spec_active_ = false;
-    std::vector<vm_id> ha_spec_vms_;  ///< speculated victims, queue order
-    std::size_t ha_spec_cursor_ = 0;  ///< next slot to consume
-    std::uint64_t ha_spec_shrink_version_ = 0;
-    std::uint64_t ha_spec_scrapes_ = 0;
-    std::vector<host_speculation> ha_spec_slots_;
-    std::vector<std::uint64_t> ha_spec_claim_counts_;
-    std::vector<churn_batch_span> recovery_batch_spans_;
-
-    // --- batched cross-BB target speculation --------------------------------
-    // Destination nodes of a planned pass, each stamped with the target
-    // cluster's usage version at speculation time; a commit consumes the
-    // target only while the version still matches (then the recompute the
-    // old serial loop did is provably identical), else the tail
-    // re-speculates against the live clusters.
-    struct bb_target_spec {
-        std::optional<node_id> node;
-        std::uint64_t version = 0;
-    };
-    std::vector<bb_target_spec> cross_bb_targets_;
 
     engine_probes probes_;  ///< invariant observation hooks (optional)
 

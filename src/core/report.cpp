@@ -162,21 +162,7 @@ void write_markdown_report(std::ostream& os, sim_engine& engine,
        << format_double(stats.migration_seconds, 0)
        << " s total migration time, worst downtime "
        << format_double(stats.max_migration_downtime_ms, 1) << " ms.\n\n"
-       << "Scheduler: " << stats.scheduler_retries
-       << " claim retries; speculative initial placement committed "
-       << stats.speculative_placements << " VMs from worker speculation with "
-       << stats.speculation_misses
-       << " misses re-placed through the serial retry loop.\n"
-       << "Churn batching: " << stats.window_batches << " in-window batches"
-       << " speculated " << stats.window_speculations << " arrivals, committed "
-       << stats.window_speculative_placements << " speculatively ("
-       << stats.window_speculation_misses << " misses, "
-       << stats.window_speculation_invalidated
-       << " invalidated by usage shrinks or telemetry refreshes).\n"
-       << "Rebalance batching: " << stats.rebalance_target_speculations
-       << " cross-BB targets speculated (" << stats.rebalance_targets_used
-       << " consumed, " << stats.rebalance_target_invalidated
-       << " re-speculated after mid-batch commits).\n";
+       << "Scheduler: " << stats.scheduler_retries << " claim retries.\n";
 
     // --- availability (only when fault injection is configured) ------------
     if (engine.config().fault.enabled()) {
@@ -187,15 +173,7 @@ void write_markdown_report(std::ostream& os, sim_engine& engine,
            << " (" << stats.ha_restart_failures << " failed attempts, "
            << ha.abandoned_vms() << " abandoned, " << ha.cancelled_vms()
            << " deleted while down); " << stats.maintenance_evacuations
-           << " maintenance evacuations.\n\n"
-           << "Recovery batching: " << stats.recovery_batches
-           << " victim batches speculated " << stats.recovery_speculations
-           << " restarts, committed " << stats.recovery_speculative_placements
-           << " speculatively (" << stats.recovery_speculation_misses
-           << " misses, " << stats.recovery_speculation_invalidated
-           << " invalidated by usage shrinks, "
-           << stats.recovery_speculation_cancelled
-           << " cancelled while down).\n\n";
+           << " maintenance evacuations.\n\n";
         const std::span<const double> downtime = ha.downtime_samples();
         if (!downtime.empty()) {
             std::vector<double> sorted(downtime.begin(), downtime.end());

@@ -60,12 +60,10 @@ std::optional<node_id> drs_cluster::initial_placement(const flavor& f) const {
 
 void drs_cluster::place(vm_id vm, const flavor& f, node_id node_target) {
     node(node_target).place(vm, f);
-    ++usage_version_;
 }
 
 void drs_cluster::remove(vm_id vm, const flavor& f, node_id node_target) {
     node(node_target).remove(vm, f);
-    ++usage_version_;
 }
 
 void drs_cluster::record_abort(vm_id vm) {

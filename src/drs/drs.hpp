@@ -82,12 +82,6 @@ public:
     void place(vm_id vm, const flavor& f, node_id node);
     void remove(vm_id vm, const flavor& f, node_id node);
 
-    /// Monotonic counter bumped by every place/remove (any node).  While
-    /// it is unchanged the cluster's reservations are bitwise identical,
-    /// so a speculated initial_placement result is still exact — the
-    /// engine's batched cross-BB target speculation keys on this.
-    std::uint64_t usage_version() const { return usage_version_; }
-
     /// Current imbalance given per-VM demand.
     double imbalance(const vm_cpu_demand_fn& demand) const;
 
@@ -107,15 +101,13 @@ public:
     void begin_pass();
 
     /// Commit one planned migration: remove from the source, place on the
-    /// target (one usage_version_ bump each), count it.
+    /// target, count it.
     void commit_migration(const drs_migration& m, const flavor& f);
 
     /// A planned migration whose pre-copy aborted: the VM never left its
     /// source, but the move still counts as attempted and the wasted
-    /// pre-copy is charged (see record_abort).  Node state — and therefore
-    /// usage_version() — is untouched: an aborted move leaves reservations
-    /// bitwise identical, so open speculations keyed on the version stay
-    /// exact.
+    /// pre-copy is charged (see record_abort).  Node state is untouched:
+    /// an aborted move leaves reservations bitwise identical.
     void abort_migration(const drs_migration& m);
 
     /// Run one balancing pass; applies and returns migrations.  Equivalent
@@ -136,8 +128,8 @@ public:
     /// rolled the VM back to its source node; the pre-copy bandwidth was
     /// still spent.  Recorded here so DRS cost accounting can separate
     /// useful from wasted migration work.  Asserts the VM has not already
-    /// been charged this pass — a re-speculated move that aborts again
-    /// must not double-bill the wasted pre-copy.
+    /// been charged this pass — a move that aborts twice in one pass must
+    /// not double-bill the wasted pre-copy.
     void record_abort(vm_id vm);
     std::uint64_t abort_count() const { return aborts_; }
 
@@ -161,11 +153,9 @@ public:
     /// Overwrite the lifetime counters with checkpointed values.  The
     /// per-pass abort dedup window is cleared — a snapshot barrier never
     /// falls inside a pass.
-    void restore_counters(std::uint64_t migrations, std::uint64_t aborts,
-                          std::uint64_t usage_version) {
+    void restore_counters(std::uint64_t migrations, std::uint64_t aborts) {
         migrations_ = migrations;
         aborts_ = aborts;
-        usage_version_ = usage_version;
         aborted_this_pass_.clear();
     }
 
@@ -179,7 +169,6 @@ private:
     std::vector<node_runtime> nodes_;
     std::uint64_t migrations_ = 0;
     std::uint64_t aborts_ = 0;
-    std::uint64_t usage_version_ = 0;
     std::vector<vm_id> aborted_this_pass_;  ///< record_abort dedup window
 };
 

@@ -11,11 +11,10 @@
 // re-placement through the real Nova conductor so HA restarts exercise
 // the same retry / NoValidHost machinery as regular placements.
 //
-// Restarts are batched: one detection epoch's victims drain as a group
-// through the engine's speculate/commit pipeline, and on_restart_failure
-// is charged exactly once per genuine NoValidHost outcome — a speculation
-// miss inside the drain falls back to the serial retry rounds of the SAME
-// attempt and must not inflate the victim's attempt budget.
+// One detection epoch's victims drain as a group, each through the
+// conductor's retry loop, and on_restart_failure is charged exactly once
+// per genuine NoValidHost outcome: the claim retries inside one restart
+// are the SAME attempt and must not inflate the victim's attempt budget.
 
 #include <optional>
 #include <unordered_map>

@@ -74,8 +74,8 @@ struct scenario_outcome {
 };
 
 /// FNV-1a over the deterministic run_stats fields in field-list order
-/// (counters and migration figures; the *_wall_ms host timings are
-/// excluded).
+/// (counters and migration figures; the *_wall_ms host timings and the
+/// retired counters are excluded).
 std::uint64_t stats_fingerprint(const run_stats& stats);
 
 /// FNV-1a over every event row: t, kind, vm, bb, from, to, reason.

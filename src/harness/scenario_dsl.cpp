@@ -136,6 +136,8 @@ template int parse_checked<int>(std::string_view, std::string_view);
 template unsigned parse_checked<unsigned>(std::string_view, std::string_view);
 template std::int64_t parse_checked<std::int64_t>(std::string_view,
                                                   std::string_view);
+template std::uint64_t parse_checked<std::uint64_t>(std::string_view,
+                                                    std::string_view);
 template double parse_checked<double>(std::string_view, std::string_view);
 
 scenario_spec parse_scenario(std::string_view text) {

@@ -135,7 +135,7 @@ bool set_config_key(engine_config& cfg, std::string_view section,
 /// Parse one command-line or environment value the way the DSL parses a
 /// value: the whole token must parse, and an integer must fit T (an
 /// unsigned T takes no sign).  Throws sci::error naming `what`.
-/// Instantiated for int, unsigned, std::int64_t and double.
+/// Instantiated for int, unsigned, std::int64_t, std::uint64_t and double.
 template <class T>
 T parse_checked(std::string_view what, std::string_view value);
 

@@ -62,11 +62,9 @@ public:
                         cross_bb_config config);
 
     /// Plan one balancing pass.  Does not mutate the placement; the caller
-    /// applies the returned moves (placement.move + cluster updates).  The
-    /// engine speculates the moves' destination nodes as a batch keyed on
-    /// each target cluster's usage version (sim_engine::cross_bb_pass), so
-    /// the plan must stay pure — any mutation here would invalidate the
-    /// whole batch on every pass.  Each move is admitted against a copy of
+    /// applies the returned moves (placement.move + cluster updates),
+    /// picking each destination node as it commits
+    /// (sim_engine::cross_bb_pass).  Each move is admitted against a copy of
     /// the usage table that already holds the moves planned before it,
     /// through the predicate placement_service::claim enforces (sci::fits),
     /// so every planned move's claim succeeds when applied in order.

@@ -101,7 +101,6 @@ void placement_service::release(vm_id vm, const flavor& f) {
             "placement_service::release: usage went negative");
     allocations_.erase(it);
     ++version_;
-    ++shrink_version_;
     if (release_listener_) release_listener_();
 }
 
@@ -143,12 +142,6 @@ void placement_service::restore_allocations(
         expects(inserted,
                 "placement_service::restore_allocations: duplicate vm row");
     }
-}
-
-void placement_service::restore_versions(std::uint64_t version,
-                                         std::uint64_t shrink_version) {
-    version_ = version;
-    shrink_version_ = shrink_version;
 }
 
 void placement_service::update_inventory(bb_id bb,

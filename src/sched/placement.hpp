@@ -91,16 +91,6 @@ public:
     /// table and refresh only when something actually changed.
     std::uint64_t version() const { return version_; }
 
-    /// Monotonic counter bumped only by release() (and therefore by
-    /// move()).  While it is unchanged, usage has grown monotonically —
-    /// the precondition under which speculative filter+weigh results can
-    /// be committed exactly (filter_scheduler::commit_speculation).  Every
-    /// batch producer — churn arrivals, HA recovery drains, initial
-    /// placement — samples it when its batch is speculated and drops the
-    /// batch the moment a deletion/evacuation/crash/resize/cross-BB move
-    /// shrinks any provider.
-    std::uint64_t shrink_version() const { return shrink_version_; }
-
     /// Observer invoked after every release() (and so during move()):
     /// capacity just came back, so queued admission requests may now fit.
     /// The backpressure layer uses this to arm its drain event.  At most
@@ -123,11 +113,11 @@ public:
     /// allocation_table); usage is restored separately via restore_usage.
     void restore_allocations(const std::vector<std::pair<vm_id, bb_id>>& rows);
 
-    void restore_versions(std::uint64_t version, std::uint64_t shrink_version);
+    void restore_version(std::uint64_t version) { version_ = version; }
 
     /// Replace a provider's inventory in place (fork policy knob: e.g. the
     /// overcommit-sweep ratio).  Usage and allocations are untouched and
-    /// the version counters do not move — callers holding cached host
+    /// the version counter does not move — callers holding cached host
     /// views must invalidate them explicitly.
     void update_inventory(bb_id bb, const provider_inventory& inventory);
 
@@ -144,7 +134,6 @@ private:
     std::vector<bb_id> order_;
     std::unordered_map<vm_id, bb_id> allocations_;
     std::uint64_t version_ = 0;
-    std::uint64_t shrink_version_ = 0;
     std::function<void()> release_listener_;
 };
 

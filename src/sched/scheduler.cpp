@@ -1,7 +1,6 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "simcore/error.hpp"
@@ -76,106 +75,6 @@ std::vector<bb_id> filter_scheduler::select_destinations(
     const std::span<const bb_id> out =
         select_destinations(ctx, hosts, max_candidates, scratch, trace);
     return {out.begin(), out.end()};
-}
-
-void filter_scheduler::speculate(const request_context& ctx,
-                                 std::span<const host_state> snapshot,
-                                 host_speculation& out) const {
-    out.reset();
-    // Per-host filter chain with short-circuit: the surviving *set* is the
-    // same as the sequential erase_if chain (filters are pure predicates).
-    for (std::uint32_t i = 0; i < snapshot.size(); ++i) {
-        bool pass = true;
-        for (const auto& filter : filters_) {
-            if (!filter->passes(snapshot[i], ctx)) {
-                pass = false;
-                break;
-            }
-        }
-        if (pass) out.survivors.push_back(i);
-    }
-    const std::span<const weighted_weigher> weighers =
-        weighers_for(ctx.request.policy);
-    out.weigher_count = static_cast<std::uint32_t>(weighers.size());
-    out.raws.reserve(weighers.size() * out.survivors.size());
-    for (const weighted_weigher& ww : weighers) {
-        for (const std::uint32_t idx : out.survivors) {
-            out.raws.push_back(ww.weigher->raw(snapshot[idx], ctx));
-        }
-    }
-    out.valid = true;
-}
-
-std::span<const bb_id> filter_scheduler::commit_speculation(
-    const request_context& ctx, std::span<const host_state> hosts,
-    const host_speculation& spec, std::span<const char> dirty,
-    std::size_t max_candidates, sched_scratch& scratch) const {
-    expects(max_candidates > 0, "commit_speculation: need max_candidates >= 1");
-    const std::span<const weighted_weigher> weighers =
-        weighers_for(ctx.request.policy);
-    expects(spec.valid && spec.weigher_count == weighers.size(),
-            "commit_speculation: speculation does not match the request");
-    expects(dirty.size() == hosts.size(),
-            "commit_speculation: dirty mask size mismatch");
-
-    // --- exact revalidation ----------------------------------------------
-    // Usage only grew since the snapshot, so every filter is fail-stable: a
-    // host rejected at snapshot time cannot pass now and the surviving set
-    // can only shrink.  Clean hosts carry bitwise-identical usage, so only
-    // dirty survivors need the filter chain re-run.
-    auto& survivors = scratch.survivors;
-    auto& host_idx = scratch.survivor_idx;
-    auto& spec_row = scratch.spec_row;
-    survivors.clear();
-    host_idx.clear();
-    spec_row.clear();
-    for (std::uint32_t row = 0; row < spec.survivors.size(); ++row) {
-        const std::uint32_t idx = spec.survivors[row];
-        const host_state& h = hosts[idx];
-        if (dirty[idx] != 0) {
-            bool pass = true;
-            for (const auto& filter : filters_) {
-                if (!filter->passes(h, ctx)) {
-                    pass = false;
-                    break;
-                }
-            }
-            if (!pass) continue;
-        }
-        survivors.push_back(&h);
-        host_idx.push_back(idx);
-        spec_row.push_back(row);
-    }
-    scratch.candidates.clear();
-    if (survivors.empty()) return {};
-
-    // --- weighing over the corrected set ---------------------------------
-    // Same arithmetic order as score_hosts_into; clean survivors reuse
-    // their snapshot raws verbatim, dirty ones re-weigh the live view.
-    const std::size_t n = survivors.size();
-    const std::size_t spec_n = spec.survivors.size();
-    auto& totals = scratch.scores;
-    auto& raws = scratch.raws;
-    totals.assign(n, 0.0);
-    raws.resize(n);
-    for (std::size_t w = 0; w < weighers.size(); ++w) {
-        const weighted_weigher& ww = weighers[w];
-        double lo = std::numeric_limits<double>::infinity();
-        double hi = -std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < n; ++i) {
-            raws[i] = dirty[host_idx[i]] != 0
-                          ? ww.weigher->raw(*survivors[i], ctx)
-                          : spec.raws[w * spec_n + spec_row[i]];
-            lo = std::min(lo, raws[i]);
-            hi = std::max(hi, raws[i]);
-        }
-        const double range = hi - lo;
-        for (std::size_t i = 0; i < n; ++i) {
-            const double norm = range > 0.0 ? (raws[i] - lo) / range : 0.0;
-            totals[i] += ww.multiplier * norm;
-        }
-    }
-    return rank_survivors(max_candidates, scratch);
 }
 
 filter_scheduler make_default_scheduler() {

@@ -5,21 +5,10 @@
 // candidate list.  Stateless with respect to allocations — the conductor
 // claims against the placement API and retries on races.
 //
-// Two execution modes share the same arithmetic:
-//
-//   * The zero-copy fast path weighs through `const host_state*` into
-//     caller-provided scratch buffers (sched_scratch) — no per-request
-//     allocation, no wholesale host_state copy.
-//   * The speculative path splits one decision in two: speculate() runs
-//     filter + raw-weigh against an immutable host snapshot (safe from a
-//     worker thread) and commit_speculation() later corrects the result
-//     against the live view, revalidating only hosts whose usage changed
-//     since the snapshot.  Because provider usage only grows between
-//     snapshot and commit (the initial-placement invariant), the
-//     corrected ranking is bitwise identical to a fresh
-//     select_destinations at commit time.
+// The zero-copy fast path weighs through `const host_state*` into
+// caller-provided scratch buffers (sched_scratch) — no per-request
+// allocation, no wholesale host_state copy.
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -37,36 +26,15 @@ struct filter_trace {
 };
 
 /// Reusable buffers for the zero-copy scheduling fast path.  One instance
-/// per thread; the zero-copy select_destinations/commit_speculation fill
-/// `candidates` and return a span into it (valid until the next call on
-/// the same scratch).
+/// per thread; the zero-copy select_destinations fills `candidates` and
+/// returns a span into it (valid until the next call on the same
+/// scratch).
 struct sched_scratch {
     std::vector<const host_state*> survivors;
-    std::vector<std::uint32_t> survivor_idx;  ///< index into the host view
-    std::vector<std::uint32_t> spec_row;      ///< row in the speculation
     std::vector<double> scores;
     std::vector<double> raws;
     std::vector<std::size_t> order;
     std::vector<bb_id> candidates;
-};
-
-/// One request's speculative filter+weigh result against a host snapshot:
-/// the surviving host indices plus the raw (un-normalized) weigher matrix.
-/// No ranking is stored — min-max normalization spans the surviving set,
-/// so any commit between snapshot and claim can reshuffle it; the commit
-/// pass re-normalizes after exact revalidation instead.
-struct host_speculation {
-    bool valid = false;
-    std::uint32_t weigher_count = 0;
-    std::vector<std::uint32_t> survivors;  ///< indices into the snapshot
-    std::vector<double> raws;  ///< weigher-major: [w * survivors.size() + row]
-
-    void reset() {
-        valid = false;
-        weigher_count = 0;
-        survivors.clear();
-        raws.clear();
-    }
 };
 
 class filter_scheduler {
@@ -90,27 +58,6 @@ public:
                                            std::span<const host_state> hosts,
                                            std::size_t max_candidates,
                                            filter_trace* trace = nullptr) const;
-
-    /// Filter + raw-weigh `ctx` against an immutable `snapshot` into
-    /// `out`.  Touches only immutable scheduler state, so concurrent
-    /// calls from worker threads are safe.
-    void speculate(const request_context& ctx,
-                   std::span<const host_state> snapshot,
-                   host_speculation& out) const;
-
-    /// Correct a speculation against the live `hosts` view and return the
-    /// ranked candidates.  `dirty[i]` marks hosts claimed against since
-    /// the snapshot; only those are re-filtered and re-weighed — clean
-    /// hosts reuse their snapshot raws verbatim.  Precondition (holds
-    /// during initial placement): usage only grew since the snapshot, so
-    /// the surviving set can only shrink.  Under it the result is bitwise
-    /// identical to select_destinations on `hosts`.
-    std::span<const bb_id> commit_speculation(const request_context& ctx,
-                                              std::span<const host_state> hosts,
-                                              const host_speculation& spec,
-                                              std::span<const char> dirty,
-                                              std::size_t max_candidates,
-                                              sched_scratch& scratch) const;
 
     /// Weigher pipeline the policy selects.
     std::span<const weighted_weigher> weighers_for(placement_policy policy) const {

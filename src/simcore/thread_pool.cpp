@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "simcore/error.hpp"
 
@@ -52,8 +55,14 @@ std::pair<std::size_t, std::size_t> thread_pool::shard(std::size_t begin,
 unsigned thread_pool::env_threads() {
     const char* v = std::getenv("SCI_THREADS");
     if (v == nullptr || *v == '\0') return 0;
-    const long parsed = std::strtol(v, nullptr, 10);
-    return parsed > 0 ? static_cast<unsigned>(parsed) : 0;
+    const char* end = v + std::strlen(v);
+    unsigned parsed = 0;
+    const auto [ptr, ec] = std::from_chars(v, end, parsed);
+    if (ec != std::errc{} || ptr != end) {
+        throw error("SCI_THREADS: expected a non-negative integer, got '" +
+                    std::string(v) + "'");
+    }
+    return parsed;
 }
 
 unsigned thread_pool::resolve_workers(std::optional<unsigned> requested,

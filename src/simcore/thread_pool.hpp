@@ -99,7 +99,9 @@ public:
                                                      unsigned count);
 
     /// Worker count requested via the SCI_THREADS environment variable
-    /// (unset, empty, or unparsable = 0 = serial).
+    /// (unset or empty = 0 = serial).  The whole value must be a
+    /// non-negative integer: anything else throws sci::error naming the
+    /// variable and the value.
     static unsigned env_threads();
 
     /// Worker count for a pool: `requested`, else env_threads(), clamped

@@ -64,7 +64,6 @@ engine_state engine_access::capture(sim_engine& e) {
     }
     s.allocations = e.placement_.allocation_table();
     s.placement_version = e.placement_.version();
-    s.placement_shrink_version = e.placement_.shrink_version();
 
     // conductor
     s.sched_scheduled = e.conductor_->scheduled_count();
@@ -72,16 +71,11 @@ engine_state engine_access::capture(sim_engine& e) {
     s.sched_retries = e.conductor_->retry_count();
     s.sched_transient_claim_failures =
         e.conductor_->transient_claim_failure_count();
-    s.sched_speculative_placements =
-        e.conductor_->speculative_placement_count();
-    s.sched_speculation_misses = e.conductor_->speculation_miss_count();
-    e.conductor_->snapshot_claim_counts(s.claim_counts);
 
     // clusters & nodes (cluster-major, nodes() order — the restore walk)
     s.clusters.reserve(e.clusters_.size());
     for (const drs_cluster& c : e.clusters_) {
-        s.clusters.push_back(
-            {c.migration_count(), c.abort_count(), c.usage_version()});
+        s.clusters.push_back({c.migration_count(), c.abort_count()});
         for (const node_runtime& nr : c.nodes()) {
             s.nodes.push_back({nr.accepting(),
                                {nr.residents().begin(), nr.residents().end()},
@@ -116,24 +110,9 @@ engine_state engine_access::capture(sim_engine& e) {
     s.events.assign(e.events_.all().begin(), e.events_.all().end());
     s.stats = e.stats_;
 
-    // churn-arrival pipeline (arrivals_ itself is pure-from-config)
+    // churn arrivals (arrivals_ itself is pure-from-config)
     s.arrival_cursor = e.arrival_cursor_;
     s.arrival_drain_seq = e.arrival_drain_seq_;
-    s.window_spec_active = e.window_spec_active_;
-    s.spec_begin = e.spec_begin_;
-    s.spec_end = e.spec_end_;
-    s.spec_shrink_version = e.spec_shrink_version_;
-    s.spec_scrapes = e.spec_scrapes_;
-    if (e.window_spec_active_) {
-        // the live vector is resize-up-only scratch; only the open batch's
-        // slots are state
-        const std::size_t batch = e.spec_end_ - e.spec_begin_;
-        s.spec_slots.assign(e.spec_slots_.begin(),
-                            e.spec_slots_.begin() +
-                                static_cast<std::ptrdiff_t>(batch));
-        s.spec_claim_counts = e.spec_claim_counts_;
-    }
-    s.churn_batch_spans = e.churn_batch_spans_;
 
     // backpressure (bp_drain_wanted_/bp_draining_ are transient and never
     // set at an event-time barrier, so only the durable pieces travel)
@@ -161,19 +140,6 @@ engine_state engine_access::capture(sim_engine& e) {
     for (const sim_engine::ha_group& g : e.ha_groups_) {
         s.ha_groups.push_back({g.due, g.victims});
     }
-    s.ha_spec_active = e.ha_spec_active_;
-    s.ha_spec_vms = e.ha_spec_vms_;
-    s.ha_spec_cursor = e.ha_spec_cursor_;
-    s.ha_spec_shrink_version = e.ha_spec_shrink_version_;
-    s.ha_spec_scrapes = e.ha_spec_scrapes_;
-    if (e.ha_spec_active_) {
-        s.ha_spec_slots.assign(e.ha_spec_slots_.begin(),
-                               e.ha_spec_slots_.begin() +
-                                   static_cast<std::ptrdiff_t>(
-                                       e.ha_spec_vms_.size()));
-        s.ha_spec_claim_counts = e.ha_spec_claim_counts_;
-    }
-    s.recovery_batch_spans = e.recovery_batch_spans_;
 
     // fault layer
     s.node_down = e.node_down_;
@@ -272,7 +238,7 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     // (5) Event loop.
     e.queue_.restore(s.queue, s.now, s.next_seq, s.executed);
 
-    // (6) Placement claims + version counters.
+    // (6) Placement claims + version counter.
     const std::vector<bb_id>& provs = e.placement_.providers();
     expects(s.provider_usages.size() == provs.size(),
             "snapshot::restore: provider count mismatch");
@@ -280,15 +246,12 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
         e.placement_.restore_usage(provs[i], s.provider_usages[i]);
     }
     e.placement_.restore_allocations(s.allocations);
-    e.placement_.restore_versions(s.placement_version,
-                                  s.placement_shrink_version);
+    e.placement_.restore_version(s.placement_version);
 
-    // (7) Conductor counters + per-provider claim counts.
-    e.conductor_->restore_counters(
-        s.sched_scheduled, s.sched_no_valid_host, s.sched_retries,
-        s.sched_transient_claim_failures, s.sched_speculative_placements,
-        s.sched_speculation_misses);
-    e.conductor_->restore_claim_counts(s.claim_counts);
+    // (7) Conductor counters.
+    e.conductor_->restore_counters(s.sched_scheduled, s.sched_no_valid_host,
+                                   s.sched_retries,
+                                   s.sched_transient_claim_failures);
 
     // (8) Clusters & nodes (same cluster-major walk as capture).
     expects(s.clusters.size() == e.clusters_.size(),
@@ -297,8 +260,7 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     for (std::size_t c = 0; c < e.clusters_.size(); ++c) {
         drs_cluster& cluster = e.clusters_[c];
         cluster.restore_counters(s.clusters[c].migrations,
-                                 s.clusters[c].aborts,
-                                 s.clusters[c].usage_version);
+                                 s.clusters[c].aborts);
         std::vector<node_id> ids;
         ids.reserve(cluster.nodes().size());
         for (const node_runtime& nr : cluster.nodes()) ids.push_back(nr.id());
@@ -318,19 +280,7 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     for (const lifecycle_event& ev : s.events) e.events_.record(ev);
     e.stats_ = s.stats;
 
-    // (10) Open churn batch (if one straddles the barrier, the next
-    // drain_arrivals commits straight out of these slots — or drops the
-    // tail on a version mismatch, exactly like the uninterrupted run).
-    e.window_spec_active_ = s.window_spec_active;
-    e.spec_begin_ = static_cast<std::size_t>(s.spec_begin);
-    e.spec_end_ = static_cast<std::size_t>(s.spec_end);
-    e.spec_shrink_version_ = s.spec_shrink_version;
-    e.spec_scrapes_ = s.spec_scrapes;
-    e.spec_slots_ = s.spec_slots;
-    e.spec_claim_counts_ = s.spec_claim_counts;
-    e.churn_batch_spans_ = s.churn_batch_spans;
-
-    // (10b) Backpressure controller + queued requests.  Rebuilt by hand
+    // (10) Backpressure controller + queued requests.  Rebuilt by hand
     // (restore never runs setup_backpressure), including the placement
     // release listener — same pattern as the claim-fault hook in (12).
     // The pinned drain event itself, if armed, is in the restored queue.
@@ -350,7 +300,7 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     e.bp_drain_seq_ = s.bp_drain_seq;
     e.bp_drain_armed_ = s.bp_drain_armed;
 
-    // (11) HA controller + queued victim groups + open recovery batch.
+    // (11) HA controller + queued victim groups.
     const fault_config& fc = e.config_.fault;
     if (s.has_ha) {
         expects(fc.enabled(),
@@ -366,14 +316,6 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     for (const ha_group_state& g : s.ha_groups) {
         e.ha_groups_.push_back({g.due, g.victims});
     }
-    e.ha_spec_active_ = s.ha_spec_active;
-    e.ha_spec_vms_ = s.ha_spec_vms;
-    e.ha_spec_cursor_ = static_cast<std::size_t>(s.ha_spec_cursor);
-    e.ha_spec_shrink_version_ = s.ha_spec_shrink_version;
-    e.ha_spec_scrapes_ = s.ha_spec_scrapes;
-    e.ha_spec_slots_ = s.ha_spec_slots;
-    e.ha_spec_claim_counts_ = s.ha_spec_claim_counts;
-    e.recovery_batch_spans_ = s.recovery_batch_spans;
 
     // (12) Fault arrays + serial RNG stream positions (re-seed the same
     // named streams, then fast-forward to the captured engine position).

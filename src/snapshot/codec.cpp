@@ -11,13 +11,13 @@
 // it — byte_writer reads every member out, byte_reader assigns it.  Each
 // member is encoded by its C++ type (byte_writer::field).  The config and
 // run_stats rows come from the two field lists in core/engine.hpp, which
-// also say which format versions carry a member.
+// also say which members the payload carries.
 //
 // Every read is length-checked before it happens and every failure mode
-// (bad magic, future version, truncation, checksum mismatch, an enum byte
-// past its type's last value) throws snapshot_error with a message naming
-// what was being read — a corrupted or future-version file can never walk
-// the decoder into UB.
+// (bad magic, another format version, truncation, checksum mismatch, an
+// enum byte past its type's last value) throws snapshot_error with a
+// message naming what was being read — a corrupted file, or one from
+// another version, can never walk the decoder into UB.
 
 #include <bit>
 #include <concepts>
@@ -97,14 +97,14 @@ constexpr enum_info<bp_request_kind> info_of(bp_request_kind) {
 template <class S, class T>
 concept either = std::same_as<std::remove_const_t<S>, T>;
 
-/// engine_config and run_stats: the members their field lists declare
-/// for this format version, in list order.
+/// engine_config and run_stats: the members their field lists put in
+/// snapshots, in list order.
 template <class Io, class S>
     requires either<S, engine_config> || either<S, run_stats>
 void transfer(Io& io, S& s) {
     for_each_field(
         [&io](const field_info& f, auto& member) {
-            if (f.in_format(io.version())) io(member);
+            if (f.in_snapshot) io(member);
         },
         s);
 }
@@ -137,7 +137,7 @@ void transfer(Io& io, S& u) {
 
 template <class Io, either<cluster_state_row> S>
 void transfer(Io& io, S& c) {
-    io(c.migrations, c.aborts, c.usage_version);
+    io(c.migrations, c.aborts);
 }
 
 template <class Io, either<node_state_row> S>
@@ -167,16 +167,6 @@ void transfer(Io& io, S& e) {
     io(e.t, e.kind, e.vm, e.bb, e.from, e.to, e.reason);
 }
 
-template <class Io, either<host_speculation> S>
-void transfer(Io& io, S& s) {
-    io(s.valid, s.weigher_count, s.survivors, s.raws);
-}
-
-template <class Io, either<sim_engine::churn_batch_span> S>
-void transfer(Io& io, S& s) {
-    io(s.first, s.last, s.size);
-}
-
 template <class Io, either<ha_controller::pending_row> S>
 void transfer(Io& io, S& p) {
     io(p.vm, p.crashed_at, p.attempts);
@@ -196,37 +186,26 @@ template <class Io, either<engine_state> S>
 void transfer(Io& io, S& s) {
     io(s.config, s.region);
     io(s.queue, s.now, s.next_seq, s.executed);
-    io(s.vms, s.provider_usages, s.allocations, s.placement_version,
-       s.placement_shrink_version);
+    io(s.vms, s.provider_usages, s.allocations, s.placement_version);
     io(s.sched_scheduled, s.sched_no_valid_host, s.sched_retries,
-       s.sched_transient_claim_failures, s.sched_speculative_placements,
-       s.sched_speculation_misses, s.claim_counts);
+       s.sched_transient_claim_failures);
     io(s.clusters, s.nodes);
     io(s.series, s.shard_counters, s.raw_sealed_through);
     io(s.events, s.stats);
-    io(s.arrival_cursor, s.arrival_drain_seq, s.window_spec_active,
-       s.spec_begin, s.spec_end, s.spec_shrink_version, s.spec_scrapes,
-       s.spec_slots, s.spec_claim_counts, s.churn_batch_spans);
+    io(s.arrival_cursor, s.arrival_drain_seq);
     io(s.has_ha, s.ha_pending, s.ha_downtime, s.ha_crashed, s.ha_restarted,
-       s.ha_abandoned, s.ha_cancelled, s.ha_failed_attempts, s.ha_groups,
-       s.ha_spec_active, s.ha_spec_vms, s.ha_spec_cursor,
-       s.ha_spec_shrink_version, s.ha_spec_scrapes, s.ha_spec_slots,
-       s.ha_spec_claim_counts, s.recovery_batch_spans);
+       s.ha_abandoned, s.ha_cancelled, s.ha_failed_attempts, s.ha_groups);
     io(s.node_down, s.node_az_down, s.node_cpu_factor, s.has_mig_abort_rng,
        s.mig_abort_rng_state, s.has_claim_fault_rng, s.claim_fault_rng_state);
     io(s.bb_contention_ewma);
-    if (io.version() >= 2) {  // backpressure arrived with format v2
-        io(s.has_bp, s.bp_queue, s.bp_regime, s.bp_transitions,
-           s.bp_drain_seq, s.bp_drain_armed);
-    }
+    io(s.has_bp, s.bp_queue, s.bp_regime, s.bp_transitions, s.bp_drain_seq,
+       s.bp_drain_armed);
 }
 
 // --- the two directions -----------------------------------------------------
 
 class byte_writer {
 public:
-    std::uint32_t version() const { return format_version; }
-
     template <class... T>
     void operator()(const T&... values) {
         (field(values), ...);
@@ -291,10 +270,8 @@ std::size_t min_wire_size() {
 
 class byte_reader {
 public:
-    byte_reader(std::span<const std::byte> bytes, std::uint32_t version)
-        : bytes_(bytes), version_(version) {}
+    explicit byte_reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
-    std::uint32_t version() const { return version_; }
     std::size_t remaining() const { return bytes_.size() - pos_; }
 
     template <class... T>
@@ -376,7 +353,6 @@ private:
 
     std::span<const std::byte> bytes_;
     std::size_t pos_ = 0;
-    std::uint32_t version_;
 };
 
 }  // namespace
@@ -403,7 +379,7 @@ engine_state deserialize(std::span<const std::byte> bytes) {
                              std::to_string(bytes.size()) + " of " +
                              std::to_string(header_size) + " bytes)");
     }
-    byte_reader header(bytes, format_version);
+    byte_reader header(bytes);
     std::uint64_t magic = 0;
     header(magic);
     if (magic != snapshot_magic) {
@@ -413,11 +389,11 @@ engine_state deserialize(std::span<const std::byte> bytes) {
     }
     std::uint32_t version = 0;
     header(version);
-    if (version == 0 || version > format_version) {
+    if (version != format_version) {
         throw snapshot_error(
             "snapshot: unsupported format version " + std::to_string(version) +
-            " (this build reads up to version " +
-            std::to_string(format_version) + ")");
+            " (this build reads version " + std::to_string(format_version) +
+            " only)");
     }
     std::uint64_t payload_len = 0;
     std::uint64_t expected_sum = 0;
@@ -435,7 +411,7 @@ engine_state deserialize(std::span<const std::byte> bytes) {
             "snapshot: payload checksum mismatch (corrupted input)");
     }
 
-    byte_reader r(payload, version);
+    byte_reader r(payload);
     engine_state state;
     r(state);
     if (r.remaining() != 0) {

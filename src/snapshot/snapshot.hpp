@@ -5,12 +5,12 @@
 // A snapshot is the *complete mutable state* of a sim_engine at an
 // event-time barrier (any instant after run_until(T) returned): pending
 // event-heap entries with their sequence slots, every VM's lifecycle
-// fields, placement usage + allocations + version counters, conductor and
+// fields, placement usage + allocations + version counter, conductor and
 // cluster counters, per-node reservations, the metric store's running
-// aggregates and unsealed raw blocks, open speculation batches (churn and
-// HA — a barrier can fall while a batch awaits its next commit), the HA
-// controller's pending victims, fault arrays, and the textual positions
-// of the serial fault RNG streams.
+// aggregates and unsealed raw blocks, the churn-arrival cursor, the HA
+// controller's pending victims and queued restart groups, the
+// backpressure queue, fault arrays, and the textual positions of the
+// serial fault RNG streams.
 //
 // Everything derivable purely from the config is NOT stored and instead
 // rebuilt on restore: the fleet (make_regional_scenario), VM names and
@@ -38,7 +38,6 @@
 
 #include "core/engine.hpp"
 #include "fault/ha.hpp"
-#include "sched/scheduler.hpp"
 #include "simcore/error.hpp"
 #include "simcore/stats.hpp"
 #include "simcore/thread_pool.hpp"
@@ -50,18 +49,21 @@ class region_set;  // sci::multiregion (capture/restore compose per region)
 
 namespace snapshot {
 
-/// Serialized-format version.  deserialize() accepts exactly the versions
-/// it knows how to read; a snapshot from a future build fails with a
-/// precise error instead of misinterpreting bytes.  The field lists of
-/// engine_config and run_stats (core/engine.hpp) say which versions carry
-/// which member: v2 added backpressure, v3 dropped the host timings and
-/// the two population fields the engine recomputes at setup, so two
-/// captures of one state are byte-identical.
-inline constexpr std::uint32_t format_version = 3;
+/// Serialized-format version.  deserialize() reads this version only; a
+/// snapshot from an older or a future build fails with a precise error
+/// instead of misinterpreting bytes.  v4 dropped the open placement
+/// batches, claim counters and shrink and usage versions with the code
+/// that kept them.
+/// The field lists of engine_config and run_stats (core/engine.hpp) say
+/// which members the payload carries: not the host timings, the retired
+/// counters or the two population fields the engine recomputes at setup,
+/// so two captures of one state are byte-identical.
+inline constexpr std::uint32_t format_version = 4;
 
-/// Raised by the codec on malformed input: wrong magic, future version,
-/// truncation, checksum mismatch, or an out-of-range enum value.  Never undefined behaviour — every
-/// read is length-checked before it happens.
+/// Raised by the codec on malformed input: wrong magic, another format
+/// version, truncation, checksum mismatch, or an out-of-range enum value.
+/// Never undefined behaviour — every read is length-checked before it
+/// happens.
 class snapshot_error : public error {
 public:
     explicit snapshot_error(const std::string& what) : error(what) {}
@@ -104,7 +106,6 @@ struct node_state_row {
 struct cluster_state_row {
     std::uint64_t migrations = 0;
     std::uint64_t aborts = 0;
-    std::uint64_t usage_version = 0;
 };
 
 /// One queued HA victim group (deque order).
@@ -130,16 +131,12 @@ struct engine_state {
     std::vector<provider_usage> provider_usages;  ///< providers() order
     std::vector<std::pair<vm_id, bb_id>> allocations;  ///< sorted by vm
     std::uint64_t placement_version = 0;
-    std::uint64_t placement_shrink_version = 0;
 
     // --- conductor --------------------------------------------------------
     std::uint64_t sched_scheduled = 0;
     std::uint64_t sched_no_valid_host = 0;
     std::uint64_t sched_retries = 0;
     std::uint64_t sched_transient_claim_failures = 0;
-    std::uint64_t sched_speculative_placements = 0;
-    std::uint64_t sched_speculation_misses = 0;
-    std::vector<std::uint64_t> claim_counts;  ///< per provider index
 
     // --- clusters & nodes -------------------------------------------------
     std::vector<cluster_state_row> clusters;
@@ -154,19 +151,11 @@ struct engine_state {
     std::vector<lifecycle_event> events;
     run_stats stats;
 
-    // --- churn-arrival pipeline -------------------------------------------
+    // --- churn arrivals ---------------------------------------------------
     std::uint64_t arrival_cursor = 0;
     std::uint64_t arrival_drain_seq = 0;
-    bool window_spec_active = false;  ///< a batch straddles the barrier
-    std::uint64_t spec_begin = 0;
-    std::uint64_t spec_end = 0;
-    std::uint64_t spec_shrink_version = 0;
-    std::uint64_t spec_scrapes = 0;
-    std::vector<host_speculation> spec_slots;  ///< open-batch slots only
-    std::vector<std::uint64_t> spec_claim_counts;
-    std::vector<sim_engine::churn_batch_span> churn_batch_spans;
 
-    // --- backpressure (format v2; v1 snapshots restore as inert) ----------
+    // --- backpressure -----------------------------------------------------
     bool has_bp = false;
     std::vector<bp_queued_request> bp_queue;  ///< front-to-back
     std::uint8_t bp_regime = 0;               ///< sci::bp_regime value
@@ -184,14 +173,6 @@ struct engine_state {
     std::uint64_t ha_cancelled = 0;
     std::uint64_t ha_failed_attempts = 0;
     std::vector<ha_group_state> ha_groups;
-    bool ha_spec_active = false;
-    std::vector<vm_id> ha_spec_vms;
-    std::uint64_t ha_spec_cursor = 0;
-    std::uint64_t ha_spec_shrink_version = 0;
-    std::uint64_t ha_spec_scrapes = 0;
-    std::vector<host_speculation> ha_spec_slots;
-    std::vector<std::uint64_t> ha_spec_claim_counts;
-    std::vector<sim_engine::churn_batch_span> recovery_batch_spans;
 
     // --- fault layer ------------------------------------------------------
     std::vector<char> node_down;
@@ -210,8 +191,8 @@ struct engine_state {
 
 /// Capture the complete state of a set-up engine at the current event-time
 /// barrier (call only between run_until returns — never from a probe).
-/// Non-const because reading the serial fault RNG positions and claim
-/// counters touches caches; the simulated state is not perturbed.
+/// Non-const because reading the serial fault RNG positions touches
+/// their streams; the simulated state is not perturbed.
 engine_state capture(sim_engine& engine);
 
 /// Rebuild a live engine from a state: pure-from-config parts are re-run
@@ -263,8 +244,8 @@ std::unique_ptr<region_set> restore_regions(
 std::vector<std::byte> serialize(const engine_state& state);
 
 /// Parse serialized bytes; throws snapshot_error with a precise message
-/// on bad magic, unsupported (future) version, truncation, checksum
-/// mismatch, or an enum value outside its type.
+/// on bad magic, a version other than format_version, truncation,
+/// checksum mismatch, or an enum value outside its type.
 engine_state deserialize(std::span<const std::byte> bytes);
 
 /// Write / read a snapshot file (the CLI's --snapshot-at / --restore).

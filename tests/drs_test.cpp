@@ -230,8 +230,8 @@ TEST(DrsClusterTest, RecordAbortChargesWastedPreCopyExactlyOnce) {
     cluster.record_abort(moves[0].vm);
     EXPECT_EQ(cluster.abort_count(), 1u);
     EXPECT_EQ(cluster.completed_migration_count(), moves.size() - 1);
-    // a re-speculated move that aborts again must not double-bill the
-    // wasted pre-copy within the same pass
+    // a move that aborts again must not double-bill the wasted pre-copy
+    // within the same pass
     EXPECT_THROW(cluster.record_abort(moves[0].vm), precondition_error);
     EXPECT_EQ(cluster.abort_count(), 1u);
     // a fresh pass opens a new dedup window: the same VM may abort again
@@ -240,27 +240,6 @@ TEST(DrsClusterTest, RecordAbortChargesWastedPreCopyExactlyOnce) {
     (void)again;
     cluster.record_abort(moves[0].vm);
     EXPECT_EQ(cluster.abort_count(), 2u);
-}
-
-TEST(DrsClusterTest, UsageVersionTracksEveryReservationChange) {
-    drs_fixture fx(2);
-    drs_cluster cluster = fx.make_cluster();
-    const node_id n0 = cluster.nodes()[0].id();
-    EXPECT_EQ(cluster.usage_version(), 0u);
-    cluster.place(vm_id(0), fx.catalog.get(fx.small), n0);
-    EXPECT_EQ(cluster.usage_version(), 1u);
-    cluster.remove(vm_id(0), fx.catalog.get(fx.small), n0);
-    EXPECT_EQ(cluster.usage_version(), 2u);
-    // a rebalance-applied migration is one remove + one place
-    for (int i = 0; i < 8; ++i) {
-        cluster.place(vm_id(i), fx.catalog.get(fx.small), n0);
-        fx.demand[vm_id(i)] = 8.0;
-    }
-    const std::uint64_t before = cluster.usage_version();
-    const auto moves =
-        cluster.rebalance(fx.demand_fn(), fx.flavor_fn(fx.small));
-    ASSERT_FALSE(moves.empty());
-    EXPECT_EQ(cluster.usage_version(), before + 2 * moves.size());
 }
 
 TEST(DrsClusterTest, SingleNodeClusterNeverRebalances) {

@@ -6,9 +6,9 @@
 //   - a faulted run is bit-identical at 0 / 1 / 4 worker threads (all
 //     fault RNG draws happen in the serial event loop),
 //   - HA recovery re-places crash victims through the real conductor and
-//     accounts downtime.
+//     accounts downtime, also under mass crashes with give-ups.
 //
-// Registered as a single ctest entry: the cases share five expensive
+// Registered as a single ctest entry: the cases share six expensive
 // engine runs built once.
 
 #include <gtest/gtest.h>
@@ -76,6 +76,27 @@ const shared_runs& runs() {
         return r;
     }();
     return *shared;
+}
+
+/// ~18 host crashes/day on ~36 nodes with quick repair, slow failure
+/// detection, claim races and mid-copy aborts: HA recovery under genuine
+/// NoValidHost pressure (retry groups, give-ups).  Built on first use.
+const sim_engine& mass_crash_run() {
+    static const sim_engine* engine = [] {
+        engine_config config = base_config();
+        config.sampling_interval = 3600;
+        config.population.daily_churn_fraction = 0.10;
+        config.fault.host_crash_rate_per_day = 0.5;
+        config.fault.crash_repair_time = hours(8);
+        config.fault.ha_restart_delay = 900;
+        config.fault.claim_failure_probability = 0.02;
+        config.fault.migration_abort_probability = 0.05;
+        config.fault.maintenance_windows = 2;
+        config.cross_bb_interval = 7200;
+        config.cross_bb.target_ram_spread = 0.05;
+        return run_engine(config).release();
+    }();
+    return *engine;
 }
 
 // --- inert defaults ---------------------------------------------------------
@@ -249,6 +270,56 @@ TEST(FaultTest, DowntimeIsAtLeastTheDetectionDelay) {
         EXPECT_GE(d, delay);
     }
     EXPECT_GE(engine.ha()->mttr(), delay);
+}
+
+TEST(FaultTest, HaAccountingIsConsistent) {
+    const sim_engine& engine = mass_crash_run();
+    const run_stats& stats = engine.stats();
+    const ha_controller& ha = *engine.ha();
+    ASSERT_GT(stats.ha_restart_failures, 0u);  // the run is under pressure
+    EXPECT_EQ(stats.crash_victims, ha.crashed_vms());
+    EXPECT_EQ(stats.ha_restarts, ha.restarted_vms());
+    // the attempt-budget regression guard: attempts are charged once per
+    // genuine NoValidHost outcome — the claim retries inside one restart
+    // never reach the HA controller, so the two failure counters agree
+    // exactly
+    EXPECT_EQ(stats.ha_restart_failures, ha.failed_attempts());
+    // every crashed VM is restarted, abandoned, deleted while down, or
+    // still pending at window end
+    EXPECT_EQ(ha.crashed_vms(), ha.restarted_vms() + ha.abandoned_vms() +
+                                    ha.cancelled_vms() + ha.pending_count());
+    EXPECT_EQ(ha.downtime_samples().size(), ha.restarted_vms());
+}
+
+TEST(FaultTest, AttemptBudgetIsPerRecoveryAndMissFree) {
+    // unit-level regression for the attempt double-count: only
+    // on_restart_failure charges the budget, and a fresh crash after a
+    // successful restart starts from zero again
+    ha_controller ha(/*retry_backoff=*/600, /*max_restart_attempts=*/3);
+    const vm_id vm(7);
+    ha.on_crash(vm, 1000);
+    EXPECT_EQ(ha.attempts_of(vm), 0);
+    // two failed attempts grant retries and charge exactly one each
+    ASSERT_TRUE(ha.on_restart_failure(vm, 1120).has_value());
+    EXPECT_EQ(ha.attempts_of(vm), 1);
+    ASSERT_TRUE(ha.on_restart_failure(vm, 1720).has_value());
+    EXPECT_EQ(ha.attempts_of(vm), 2);
+    // success clears the pending state without touching the budget
+    ha.on_restart_success(vm, 2320);
+    EXPECT_FALSE(ha.pending(vm));
+    EXPECT_EQ(ha.attempts_of(vm), 0);
+    EXPECT_EQ(ha.failed_attempts(), 2u);
+    // a fresh crash must NOT inherit the previous recovery's attempts:
+    // the full budget is available again
+    ha.on_crash(vm, 5000);
+    EXPECT_EQ(ha.attempts_of(vm), 0);
+    ASSERT_TRUE(ha.on_restart_failure(vm, 5120).has_value());
+    ASSERT_TRUE(ha.on_restart_failure(vm, 5720).has_value());
+    // third failure exhausts the budget: the victim is abandoned
+    EXPECT_FALSE(ha.on_restart_failure(vm, 6320).has_value());
+    EXPECT_FALSE(ha.pending(vm));
+    EXPECT_EQ(ha.abandoned_vms(), 1u);
+    EXPECT_EQ(ha.failed_attempts(), 5u);
 }
 
 TEST(FaultTest, ActiveListMatchesRegistryCount) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -18,6 +19,7 @@
 #include "multiregion/region_set.hpp"
 #include "simcore/error.hpp"
 #include "snapshot/snapshot.hpp"
+#include "stats_equal.hpp"
 
 namespace sci {
 namespace {
@@ -98,9 +100,7 @@ TEST(FieldListTest, EveryConfigMemberRoundTripsThroughCodecAndDsl) {
         const engine_config restored =
             snapshot::deserialize(snapshot::serialize(state)).config;
         EXPECT_EQ(differing(restored, state.config),
-                  f.in_format(snapshot::format_version)
-                      ? std::vector<std::string>{}
-                      : only(f));
+                  f.in_snapshot ? std::vector<std::string>{} : only(f));
 
         // DSL: render -> parse carries exactly the members with a key
         harness::scenario_spec spec;
@@ -117,7 +117,7 @@ TEST(FieldListTest, EveryConfigMemberRoundTripsThroughCodecAndDsl) {
 
 TEST(FieldListTest, EveryStatsMemberRoundTripsMergesAndFingerprints) {
     const std::size_t n = field_count<run_stats>();
-    EXPECT_EQ(n, 50u);
+    EXPECT_EQ(n, 44u);
     const std::uint64_t zero_fingerprint =
         harness::stats_fingerprint(run_stats{});
     for (std::size_t i = 0; i < n; ++i) {
@@ -125,14 +125,13 @@ TEST(FieldListTest, EveryStatsMemberRoundTripsMergesAndFingerprints) {
         const field_info f = bump_field(state.stats, i);
         SCOPED_TRACE(std::string(f.name));
 
-        // codec: carried members come back, host timings do not (v3)
+        // codec: carried members come back, host timings and retired
+        // counters do not
         const run_stats restored =
             snapshot::deserialize(snapshot::serialize(state)).stats;
         EXPECT_EQ(differing(restored, state.stats),
-                  f.in_format(snapshot::format_version)
-                      ? std::vector<std::string>{}
-                      : only(f));
-        EXPECT_EQ(f.in_format(snapshot::format_version), f.deterministic);
+                  f.in_snapshot ? std::vector<std::string>{} : only(f));
+        EXPECT_EQ(f.in_snapshot, f.deterministic);
 
         // fingerprint: moves exactly when the member is deterministic
         EXPECT_EQ(harness::stats_fingerprint(state.stats) != zero_fingerprint,
@@ -160,6 +159,61 @@ TEST(FieldListTest, EveryStatsMemberRoundTripsMergesAndFingerprints) {
             expected);
         EXPECT_TRUE(differing(merged, expected).empty());
     }
+}
+
+TEST(FieldListTest, RetiredCountersStayOutOfFingerprintComparatorAndSnapshot) {
+    // the ten speculation counters perfbench still reads: always zero,
+    // and declared so that deleting them later moves no fingerprint and
+    // no snapshot byte
+    const std::vector<std::string> retired = {
+        "speculative_placements",
+        "speculation_misses",
+        "window_speculations",
+        "window_speculative_placements",
+        "window_speculation_invalidated",
+        "recovery_speculations",
+        "recovery_speculative_placements",
+        "recovery_speculation_invalidated",
+        "rebalance_target_speculations",
+        "rebalance_targets_used",
+    };
+    snapshot::engine_state bumped;
+    std::vector<run_stats> regions(2);
+    std::vector<std::string> found;
+    for_each_field(
+        [&](const field_info& f, auto& member, auto& a, auto& b) {
+            if (std::find(retired.begin(), retired.end(), f.name) ==
+                retired.end()) {
+                return;
+            }
+            found.emplace_back(f.name);
+            EXPECT_FALSE(f.deterministic) << f.name;
+            EXPECT_FALSE(f.in_snapshot) << f.name;
+            EXPECT_EQ(f.merge, merge_rule::sum) << f.name;
+            bump(member);
+            a = 2;
+            b = 5;
+        },
+        bumped.stats, regions[0], regions[1]);
+    EXPECT_EQ(found, retired);
+
+    // fingerprint and comparator skip them
+    EXPECT_EQ(harness::stats_fingerprint(bumped.stats),
+              harness::stats_fingerprint(run_stats{}));
+    expect_stats_equal(bumped.stats, run_stats{});
+    // the v4 payload carries none of them
+    EXPECT_EQ(snapshot::serialize(bumped),
+              snapshot::serialize(snapshot::engine_state{}));
+    // fleet merges still sum them
+    const run_stats merged = merge_run_stats(regions);
+    for_each_field(
+        [&](const field_info& f, const auto& member) {
+            if (std::find(retired.begin(), retired.end(), f.name) !=
+                retired.end()) {
+                EXPECT_EQ(member, 7u) << f.name;
+            }
+        },
+        merged);
 }
 
 // --- regressions of the hand-listed copies ---------------------------------

@@ -5,13 +5,13 @@
 // engine, replay to the end of the window — and the restored run's
 // events/stats fingerprints are bit-identical to the uninterrupted run,
 // at SCI_THREADS ∈ {0, 1, 4}, for a clean config and for a faulted one
-// (crashes, claim races, maintenance, migration aborts).  The mid-batch
+// (crashes, claim races, maintenance, migration aborts).  The mid-drain
 // cases prove the hard part is exercised rather than vacuously green:
-// the captured state actually holds an open churn speculation batch /
-// a pending HA restart group when the snapshot is taken.
+// the captured state actually holds the churn drain pending in its pinned
+// heap slot / a pending HA restart group when the snapshot is taken.
 //
 // The shared runs are expensive, so this binary registers as a single
-// ctest entry (same pattern as churn_batch_test / fault_test).
+// ctest entry (same pattern as parallel_scrape_test / fault_test).
 
 #include <gtest/gtest.h>
 
@@ -42,8 +42,8 @@ engine_config base_config(unsigned threads, bool faulted) {
     engine_config config;
     config.scenario.scale = 0.02;  // ~36 nodes, ~960 VMs
     config.scenario.seed = 11;
-    // hourly scrapes + dense churn: speculation batches group several
-    // arrivals per interval and stay open across intervening events
+    // hourly scrapes + dense churn: several arrivals per scrape interval,
+    // interleaved with deletions and (when faulted) crashes
     config.sampling_interval = 3600;
     config.population.daily_churn_fraction = 0.10;
     config.threads = threads;
@@ -170,12 +170,22 @@ void snapshot_mid(const engine_config& config,
 }
 
 TEST(SnapshotTest, MidChurnBatchSnapshotRestoresExactly) {
-    // the regression this pins: a snapshot taken while a churn
-    // speculation batch is open must re-arm the batch exactly on restore
+    // the regression this pins: a snapshot taken mid-stream, with the
+    // churn drain pending in its pinned heap slot, must resume the drain
+    // in the same slot — so it keeps its tie order against every other
+    // event — and at the same arrival on restore
     snapshot_mid(
         base_config(0, false),
-        [](const snapshot::engine_state& s) { return s.window_spec_active; },
-        "an open churn speculation batch");
+        [](const snapshot::engine_state& s) {
+            if (s.arrival_cursor == 0) return false;
+            for (const auto& entry : s.queue) {
+                if (entry.payload.act == engine_event::action::drain_arrivals) {
+                    return entry.seq == s.arrival_drain_seq;
+                }
+            }
+            return false;
+        },
+        "the churn drain pending in its pinned slot");
 }
 
 TEST(SnapshotTest, MidHaGroupSnapshotRestoresExactly) {
@@ -324,6 +334,18 @@ TEST(SnapshotTest, FutureVersionSnapshotFailsWithPreciseError) {
     // the format version is the u32 right after the u64 magic
     bytes[8] = std::byte{0xff};
     expect_codec_error(std::move(bytes), "unsupported format version");
+}
+
+TEST(SnapshotTest, OlderVersionSnapshotFailsWithPreciseError) {
+    // this build reads format v4 only: a v3 or v1 header is refused by
+    // version number before any payload byte is interpreted
+    for (const std::uint8_t old : {3, 1}) {
+        std::vector<std::byte> bytes =
+            snapshot::serialize(default_runs()[0].mid);
+        bytes[8] = std::byte{old};
+        expect_codec_error(std::move(bytes), "unsupported format version " +
+                                                 std::to_string(old));
+    }
 }
 
 TEST(SnapshotTest, OutOfRangeEnumFailsWithPreciseError) {

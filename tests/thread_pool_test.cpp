@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -154,8 +155,21 @@ TEST(ThreadPoolTest, EnvThreadsParsesSciThreads) {
     EXPECT_EQ(thread_pool::env_threads(), 6u);
     ::setenv("SCI_THREADS", "0", 1);
     EXPECT_EQ(thread_pool::env_threads(), 0u);
-    ::setenv("SCI_THREADS", "garbage", 1);
+    ::setenv("SCI_THREADS", "", 1);
     EXPECT_EQ(thread_pool::env_threads(), 0u);
+    // the whole token must parse: a malformed value is an error naming
+    // the variable and the value, never a silent worker count
+    for (const char* bad : {"garbage", "4x", "-1"}) {
+        ::setenv("SCI_THREADS", bad, 1);
+        try {
+            thread_pool::env_threads();
+            ADD_FAILURE() << "accepted '" << bad << "'";
+        } catch (const error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("SCI_THREADS"), std::string::npos) << what;
+            EXPECT_NE(what.find(bad), std::string::npos) << what;
+        }
+    }
     ::unsetenv("SCI_THREADS");
     EXPECT_EQ(thread_pool::env_threads(), 0u);
 }
