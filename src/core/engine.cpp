@@ -473,15 +473,8 @@ bool sim_engine::place_vm(vm_id vm, sim_time when, lifecycle_event_kind kind,
     stats_.scheduler_retries +=
         outcome.attempts > 0 ? static_cast<std::uint64_t>(outcome.attempts - 1) : 0;
     if (!outcome.success) {
-        if (quiet_fail) return false;
-        rec.state = vm_state::error;
-        ++stats_.placement_failures;
-        events_.record(
-            lifecycle_event{.t = when,
-                            .kind = lifecycle_event_kind::schedule_fail,
-                            .vm = vm,
-                            .reason = schedule_fail_reason::no_valid_host});
-        return false;
+        return fail_placement(rec, when, schedule_fail_reason::no_valid_host,
+                              quiet_fail);
     }
 
     drs_cluster& cluster = cluster_of(outcome.bb);
@@ -493,34 +486,49 @@ bool sim_engine::place_vm(vm_id vm, sim_time when, lifecycle_event_kind kind,
         const node_runtime* best = least_reserved_accepting(cluster);
         if (best == nullptr) {
             placement_.release(vm, f);
-            if (quiet_fail) return false;
-            rec.state = vm_state::error;
-            ++stats_.placement_failures;
-            events_.record(lifecycle_event{
-                .t = when,
-                .kind = lifecycle_event_kind::schedule_fail,
-                .vm = vm,
-                .reason = schedule_fail_reason::no_accepting_node});
-            return false;
+            return fail_placement(rec, when,
+                                  schedule_fail_reason::no_accepting_node,
+                                  quiet_fail);
         }
         node = best->id();
         ++stats_.forced_fits;
     }
-    cluster.place(vm, f, *node);
-    rec.placed_bb = outcome.bb;
-    rec.placed_node = *node;
+    admit_placement(rec, f, cluster, *node, when, kind);
+    return true;
+}
+
+bool sim_engine::fail_placement(vm_record& rec, sim_time when,
+                                schedule_fail_reason reason, bool quiet_fail) {
+    if (quiet_fail) return false;
+    rec.state = vm_state::error;
+    ++stats_.placement_failures;
+    if (reason == schedule_fail_reason::holistic_claim_rejected) {
+        ++stats_.holistic_claim_rejections;
+    }
+    events_.record(lifecycle_event{.t = when,
+                                   .kind = lifecycle_event_kind::schedule_fail,
+                                   .vm = rec.id,
+                                   .reason = reason});
+    return false;
+}
+
+void sim_engine::admit_placement(vm_record& rec, const flavor& f,
+                                 drs_cluster& cluster, node_id node,
+                                 sim_time when, lifecycle_event_kind kind) {
+    cluster.place(rec.id, f, node);
+    rec.placed_bb = cluster.bb();
+    rec.placed_node = node;
     rec.state = vm_state::active;
     rec.created_at = std::min(rec.created_at, when);
     ++stats_.placements;
-    active_insert(vm);
+    active_insert(rec.id);
 
     open_vm_series(rec);
     events_.record(lifecycle_event{.t = when,
                                    .kind = kind,
-                                   .vm = vm,
+                                   .vm = rec.id,
                                    .bb = rec.placed_bb,
                                    .to = rec.placed_node});
-    return true;
 }
 
 void sim_engine::open_vm_series(const vm_record& rec) {
@@ -596,15 +604,9 @@ bool sim_engine::place_vm_holistic(vm_id vm, sim_time when,
         }
     }
     if (best_cluster == nullptr) {
-        if (quiet_fail) return false;
-        rec.state = vm_state::error;
-        ++stats_.placement_failures;
-        events_.record(lifecycle_event{
-            .t = when,
-            .kind = lifecycle_event_kind::schedule_fail,
-            .vm = vm,
-            .reason = schedule_fail_reason::holistic_no_candidate});
-        return false;
+        return fail_placement(rec, when,
+                              schedule_fail_reason::holistic_no_candidate,
+                              quiet_fail);
     }
     // The node accepted the VM, but the provider-level claim re-checks
     // against the BB inventory — which a mass-crash can shrink below the
@@ -614,31 +616,11 @@ bool sim_engine::place_vm_holistic(vm_id vm, sim_time when,
     try {
         placement_.claim(vm, best_cluster->bb(), f);
     } catch (const capacity_error&) {
-        if (quiet_fail) return false;
-        rec.state = vm_state::error;
-        ++stats_.placement_failures;
-        ++stats_.holistic_claim_rejections;
-        events_.record(lifecycle_event{
-            .t = when,
-            .kind = lifecycle_event_kind::schedule_fail,
-            .vm = vm,
-            .reason = schedule_fail_reason::holistic_claim_rejected});
-        return false;
+        return fail_placement(rec, when,
+                              schedule_fail_reason::holistic_claim_rejected,
+                              quiet_fail);
     }
-    best_cluster->place(vm, f, best_node->id());
-    rec.placed_bb = best_cluster->bb();
-    rec.placed_node = best_node->id();
-    rec.state = vm_state::active;
-    rec.created_at = std::min(rec.created_at, when);
-    ++stats_.placements;
-    active_insert(vm);
-
-    open_vm_series(rec);
-    events_.record(lifecycle_event{.t = when,
-                                   .kind = kind,
-                                   .vm = vm,
-                                   .bb = rec.placed_bb,
-                                   .to = rec.placed_node});
+    admit_placement(rec, f, *best_cluster, best_node->id(), when, kind);
     return true;
 }
 
@@ -793,15 +775,18 @@ void sim_engine::scrape(sim_time t) {
     // active_slots_ already walks them in ascending vm-id order — the
     // element-for-element order the old snapshot produced.
     const std::size_t n_active = active_slots_.size();
-    scrape_cpu_col_.resize(n_active);
-    scrape_mem_col_.resize(n_active);
+    scrape_batch_.clear();
+    scrape_batch_.reserve(2 * n_active + 7 * scrape_nodes_.size() +
+                          4 * bb_series_.size() + 1);
+    scrape_batch_.resize(2 * n_active);
 
     // --- stage 1 (parallel): per-VM demand into fixed shards ------------
     // The active list is split by scrape_shard_count — never by worker
     // count — so each shard's accumulation order is the same whether the
     // shards run on 0, 1 or N workers.  Workers stream the contiguous
-    // slot columns instead of chasing vm_record pointers; sample values
-    // land in per-VM column slots, nothing shared is written.
+    // slot columns instead of chasing vm_record pointers; VM i's cpu and
+    // mem samples land at batch positions 2i and 2i+1, so no two workers
+    // write the same element.
     run_sharded(scrape_shard_count,
                 [&](unsigned, std::size_t s_begin, std::size_t s_end) {
         for (std::size_t s = s_begin; s < s_end; ++s) {
@@ -828,26 +813,18 @@ void sim_engine::scrape(sim_time t) {
                 if (fl.cpu_pinned) {
                     d.pinned_cores += static_cast<double>(fl.vcpus);
                 }
-                scrape_cpu_col_[i] = cpu_ratio;
-                scrape_mem_col_[i] = mem_ratio;
+                scrape_batch_[2 * i] = {slot_cpu_series_[slot], cpu_ratio};
+                scrape_batch_[2 * i + 1] = {slot_mem_series_[slot], mem_ratio};
             }
         }
     });
 
-    // --- stage 2: batch the scrape, then shard the ingest ----------------
-    // All of the scrape's samples are gathered into one batch in the
-    // canonical (serial) order, then handed to the store's sharded
-    // append: the store partitions by series hash, so each worker owns a
-    // disjoint set of series and every aggregate's float order matches
-    // the serial funnel exactly (one sample per series per scrape).
-    scrape_batch_.clear();
-    scrape_batch_.reserve(2 * n_active + 7 * scrape_nodes_.size() +
-                          4 * bb_series_.size() + 1);
-    for (std::size_t i = 0; i < n_active; ++i) {
-        const std::uint32_t slot = active_slots_[i];
-        scrape_batch_.push_back({slot_cpu_series_[slot], scrape_cpu_col_[i]});
-        scrape_batch_.push_back({slot_mem_series_[slot], scrape_mem_col_[i]});
-    }
+    // --- stage 2: finish the batch, then append it in slices -----------
+    // The node and BB samples follow the VM samples in the canonical
+    // (serial) order, and the store appends the whole batch in contiguous
+    // slices of that order.  A scrape holds each series once, so every
+    // worker touches its own series and every aggregate's float order
+    // matches a serial append exactly.
 
     // per-node series + per-BB contention; scrape_nodes_ is cluster-major,
     // so one running_stats accumulates each cluster's available nodes.
@@ -996,7 +973,7 @@ void sim_engine::drs_pass(sim_time t) {
                 // committed; bill the wasted pre-copy bandwidth (exactly
                 // once per move; record_abort asserts the VM wasn't
                 // already charged)
-                cluster.abort_migration(m);
+                cluster.record_abort(m.vm);
                 ++stats_.migration_aborts;
                 stats_.wasted_migration_seconds +=
                     estimate_vm_migration(m.vm, t).total_seconds;

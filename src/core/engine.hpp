@@ -115,13 +115,14 @@ struct engine_config {
     /// Cost model applied to every DRS / cross-BB migration.
     migration_cost_config migration_cost;
     /// Worker threads for the two scrape stages that fan out: per-VM
-    /// demand and the store's append shards.  nullopt reads the
+    /// demand and the store's batch append.  nullopt reads the
     /// SCI_THREADS environment variable; the count is clamped to the
     /// machine's hardware threads, and 0 or 1 evaluates serially.  Output
     /// is bit-identical at any thread count: demand is sharded by a fixed
-    /// shard count and reduced in shard order, and each append shard owns
-    /// a disjoint set of series (see sim_engine::scrape).  Everything else
-    /// runs on the event loop's thread.
+    /// shard count and reduced in shard order, and the append applies
+    /// contiguous slices of a batch that holds each series once (see
+    /// sim_engine::scrape).  Everything else runs on the event loop's
+    /// thread.
     std::optional<unsigned> threads;
     /// Deterministic fault injection (sci::fault).  The default (all
     /// rates zero) is fully inert: no schedule is compiled, no RNG
@@ -592,6 +593,16 @@ private:
                   bool quiet_fail = false);
     bool place_vm_holistic(vm_id vm, sim_time when, lifecycle_event_kind kind,
                            bool quiet_fail = false);
+    /// A placement's failure tail: unless quiet_fail, mark the VM errored,
+    /// count the failure (and a holistic claim rejection) and record a
+    /// schedule_fail with `reason`.  Returns false.
+    bool fail_placement(vm_record& rec, sim_time when,
+                        schedule_fail_reason reason, bool quiet_fail);
+    /// A placement's success tail: put the VM on `node` of `cluster`,
+    /// activate it, open its series and record the `kind` event.
+    void admit_placement(vm_record& rec, const flavor& f, drs_cluster& cluster,
+                         node_id node, sim_time when,
+                         lifecycle_event_kind kind);
     void delete_vm(vm_id vm, sim_time when);
     void scrape(sim_time t);
     void drs_pass(sim_time t);
@@ -743,7 +754,7 @@ private:
     // VM list regardless of worker count, and shard partials are reduced
     // in shard order — so the floating-point grouping (and therefore every
     // emitted sample) is bit-identical whether 0, 1 or N workers run.
-    // Stage 1 (demand) and the store's append shards are the only work
+    // Stage 1 (demand) and the store's batch append are the only work
     // that leaves the event loop's thread: nothing else in a run holds
     // enough work to pay for the hand-off (EXPERIMENTS.md, "Where fanning
     // out pays").
@@ -762,10 +773,9 @@ private:
 
     std::unique_ptr<thread_pool> pool_;  ///< null unless 2+ workers
     thread_pool* shared_pool_ = nullptr;  ///< non-owning; wins over pool_
-    std::vector<double> scrape_cpu_col_;        ///< per active VM
-    std::vector<double> scrape_mem_col_;        ///< per active VM
-    /// One scrape's samples in canonical order, handed to the store's
-    /// sharded batch append (stage 3).
+    /// One scrape's samples in canonical order: stage 1 writes VM i's
+    /// cpu and mem samples at 2i and 2i+1, stage 2 appends the node and
+    /// BB samples and hands the batch to the store.
     std::vector<metric_store::sample_event> scrape_batch_;
     /// Per fixed shard: one node_demand per node id value.
     std::vector<std::vector<node_demand>> shard_demand_;

@@ -71,7 +71,6 @@ void drs_cluster::record_abort(vm_id vm) {
                       vm) == aborted_this_pass_.end(),
             "drs_cluster::record_abort: wasted pre-copy already charged");
     aborted_this_pass_.push_back(vm);
-    ++aborts_;
 }
 
 double drs_cluster::node_demand_cores(const node_runtime& nr,
@@ -200,12 +199,6 @@ void drs_cluster::begin_pass() {
 void drs_cluster::commit_migration(const drs_migration& m, const flavor& f) {
     remove(m.vm, f, m.from);
     place(m.vm, f, m.to);
-    ++migrations_;
-}
-
-void drs_cluster::abort_migration(const drs_migration& m) {
-    ++migrations_;  // the move was attempted; pre-copy bandwidth was spent
-    record_abort(m.vm);
 }
 
 std::vector<drs_migration> drs_cluster::rebalance(

@@ -92,7 +92,7 @@ public:
     /// eager pass would have applied.  Being const, planning leaves the
     /// cluster untouched, so a plan can be timed or inspected on its own;
     /// the engine plans and then commits one cluster at a time via
-    /// begin_pass() + commit_migration()/abort_migration().
+    /// begin_pass() + commit_migration()/record_abort().
     std::vector<drs_migration> plan_rebalance(
         const vm_cpu_demand_fn& demand, const vm_flavor_fn& flavor_of) const;
 
@@ -101,14 +101,8 @@ public:
     void begin_pass();
 
     /// Commit one planned migration: remove from the source, place on the
-    /// target, count it.
+    /// target.
     void commit_migration(const drs_migration& m, const flavor& f);
-
-    /// A planned migration whose pre-copy aborted: the VM never left its
-    /// source, but the move still counts as attempted and the wasted
-    /// pre-copy is charged (see record_abort).  Node state is untouched:
-    /// an aborted move leaves reservations bitwise identical.
-    void abort_migration(const drs_migration& m);
 
     /// Run one balancing pass; applies and returns migrations.  Equivalent
     /// to begin_pass() + plan_rebalance() + commit_migration() per move —
@@ -121,22 +115,12 @@ public:
     node_runtime& node(node_id id);
     const node_runtime& node(node_id id) const;
 
-    /// Total migrations applied over the cluster's lifetime.
-    std::uint64_t migration_count() const { return migrations_; }
-
-    /// An applied migration aborted mid-copy (sci::fault): the caller
-    /// rolled the VM back to its source node; the pre-copy bandwidth was
-    /// still spent.  Recorded here so DRS cost accounting can separate
-    /// useful from wasted migration work.  Asserts the VM has not already
-    /// been charged this pass — a move that aborts twice in one pass must
-    /// not double-bill the wasted pre-copy.
+    /// A planned migration whose pre-copy aborted mid-stream (sci::fault):
+    /// the VM never left its source and node state is untouched, but the
+    /// pre-copy bandwidth was spent.  Asserts the VM has not already been
+    /// charged this pass — a move that aborts twice in one pass must not
+    /// double-bill the wasted pre-copy.
     void record_abort(vm_id vm);
-    std::uint64_t abort_count() const { return aborts_; }
-
-    /// Migrations that completed (applied minus aborted).
-    std::uint64_t completed_migration_count() const {
-        return migrations_ - aborts_;
-    }
 
     // --- snapshot / fork support ------------------------------------------
     /// Flip automatic balancing post-restore (fork ablation arm).  Pure
@@ -150,15 +134,6 @@ public:
         config_.ram_allocation_ratio = ram;
     }
 
-    /// Overwrite the lifetime counters with checkpointed values.  The
-    /// per-pass abort dedup window is cleared — a snapshot barrier never
-    /// falls inside a pass.
-    void restore_counters(std::uint64_t migrations, std::uint64_t aborts) {
-        migrations_ = migrations;
-        aborts_ = aborts;
-        aborted_this_pass_.clear();
-    }
-
 private:
     /// Node CPU demand in cores (sum over residents).
     double node_demand_cores(const node_runtime& nr,
@@ -167,8 +142,6 @@ private:
     bb_id bb_;
     drs_config config_;
     std::vector<node_runtime> nodes_;
-    std::uint64_t migrations_ = 0;
-    std::uint64_t aborts_ = 0;
     std::vector<vm_id> aborted_this_pass_;  ///< record_abort dedup window
 };
 

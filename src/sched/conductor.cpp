@@ -90,16 +90,6 @@ void conductor::refresh_host_states() {
     states_version_ = placement_.version();
 }
 
-void conductor::restore_counters(std::uint64_t scheduled,
-                                 std::uint64_t no_valid_host,
-                                 std::uint64_t retries,
-                                 std::uint64_t transient_claim_failures) {
-    scheduled_ = scheduled;
-    no_valid_host_ = no_valid_host;
-    retries_ = retries;
-    transient_claim_failures_ = transient_claim_failures;
-}
-
 void conductor::invalidate_host_view() {
     states_.clear();
     usage_refs_.clear();
@@ -129,15 +119,12 @@ placement_outcome conductor::schedule_and_claim(
                 placement_.claim(request.vm, candidate, f);
                 outcome.success = true;
                 outcome.bb = candidate;
-                ++scheduled_;
-                retries_ += static_cast<std::uint64_t>(outcome.attempts - 1);
                 return outcome;
             } catch (const capacity_error&) {
                 continue;  // race lost: try the next alternate
             }
         }
     }
-    ++no_valid_host_;
     return outcome;
 }
 

@@ -78,19 +78,16 @@ public:
     /// The scheduler pipeline (immutable).
     const filter_scheduler& scheduler() const { return scheduler_; }
 
-    /// Cumulative counters.
-    std::uint64_t scheduled_count() const { return scheduled_; }
-    std::uint64_t no_valid_host_count() const { return no_valid_host_; }
-    std::uint64_t retry_count() const { return retries_; }
+    /// Claims failed by the injected fault hook, cumulative.
     std::uint64_t transient_claim_failure_count() const {
         return transient_claim_failures_;
     }
 
     // --- snapshot / fork support ------------------------------------------
-    /// Overwrite the cumulative counters with checkpointed values.
-    void restore_counters(std::uint64_t scheduled, std::uint64_t no_valid_host,
-                          std::uint64_t retries,
-                          std::uint64_t transient_claim_failures);
+    /// Overwrite the claim-failure counter with its checkpointed value.
+    void restore_counters(std::uint64_t transient_claim_failures) {
+        transient_claim_failures_ = transient_claim_failures;
+    }
 
     /// Drop the cached host view so the next request rebuilds it from the
     /// live inventories (a fork policy knob changed provider capacity).
@@ -115,9 +112,6 @@ private:
 
     sched_scratch scratch_;  ///< serial claim path working buffers
 
-    std::uint64_t scheduled_ = 0;
-    std::uint64_t no_valid_host_ = 0;
-    std::uint64_t retries_ = 0;
     std::uint64_t transient_claim_failures_ = 0;
 };
 

@@ -66,16 +66,11 @@ engine_state engine_access::capture(sim_engine& e) {
     s.placement_version = e.placement_.version();
 
     // conductor
-    s.sched_scheduled = e.conductor_->scheduled_count();
-    s.sched_no_valid_host = e.conductor_->no_valid_host_count();
-    s.sched_retries = e.conductor_->retry_count();
     s.sched_transient_claim_failures =
         e.conductor_->transient_claim_failure_count();
 
-    // clusters & nodes (cluster-major, nodes() order — the restore walk)
-    s.clusters.reserve(e.clusters_.size());
+    // nodes (cluster-major, nodes() order — the restore walk)
     for (const drs_cluster& c : e.clusters_) {
-        s.clusters.push_back({c.migration_count(), c.abort_count()});
         for (const node_runtime& nr : c.nodes()) {
             s.nodes.push_back({nr.accepting(),
                                {nr.residents().begin(), nr.residents().end()},
@@ -100,10 +95,8 @@ engine_state engine_access::capture(sim_engine& e) {
         row.raw.assign(v.raw.begin(), v.raw.end());
         s.series.push_back(std::move(row));
     }
-    for (unsigned shard = 0; shard < metric_store::append_shard_count;
-         ++shard) {
-        s.shard_counters.push_back(e.store_.shard_counter(shard));
-    }
+    s.samples_appended = e.store_.total_samples();
+    s.samples_dropped = e.store_.dropped_samples();
     s.raw_sealed_through = e.store_.raw_sealed_through();
 
     // log & stats
@@ -176,13 +169,7 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
                                 row.hourly_first, from_exact(row.hourly),
                                 row.raw);
     }
-    expects(s.shard_counters.size() == metric_store::append_shard_count,
-            "snapshot::restore: shard counter count mismatch");
-    for (unsigned shard = 0; shard < metric_store::append_shard_count;
-         ++shard) {
-        e.store_.restore_shard_counter(shard, s.shard_counters[shard].first,
-                                       s.shard_counters[shard].second);
-    }
+    e.store_.restore_sample_counts(s.samples_appended, s.samples_dropped);
     e.store_.restore_raw_sealed_through(s.raw_sealed_through);
 
     // (2) Pure-from-config rebuild: providers/clusters/conductor/series
@@ -248,19 +235,12 @@ void engine_access::restore_into(sim_engine& e, const engine_state& s) {
     e.placement_.restore_allocations(s.allocations);
     e.placement_.restore_version(s.placement_version);
 
-    // (7) Conductor counters.
-    e.conductor_->restore_counters(s.sched_scheduled, s.sched_no_valid_host,
-                                   s.sched_retries,
-                                   s.sched_transient_claim_failures);
+    // (7) Conductor counter.
+    e.conductor_->restore_counters(s.sched_transient_claim_failures);
 
-    // (8) Clusters & nodes (same cluster-major walk as capture).
-    expects(s.clusters.size() == e.clusters_.size(),
-            "snapshot::restore: cluster count mismatch");
+    // (8) Nodes (same cluster-major walk as capture).
     std::size_t node_row = 0;
-    for (std::size_t c = 0; c < e.clusters_.size(); ++c) {
-        drs_cluster& cluster = e.clusters_[c];
-        cluster.restore_counters(s.clusters[c].migrations,
-                                 s.clusters[c].aborts);
+    for (drs_cluster& cluster : e.clusters_) {
         std::vector<node_id> ids;
         ids.reserve(cluster.nodes().size());
         for (const node_runtime& nr : cluster.nodes()) ids.push_back(nr.id());

@@ -135,11 +135,6 @@ void transfer(Io& io, S& u) {
     io(u.vcpus_used, u.ram_used_mib, u.disk_used_gib, u.instances);
 }
 
-template <class Io, either<cluster_state_row> S>
-void transfer(Io& io, S& c) {
-    io(c.migrations, c.aborts);
-}
-
 template <class Io, either<node_state_row> S>
 void transfer(Io& io, S& n) {
     io(n.accepting, n.residents, n.reserved_vcpus, n.reserved_ram_mib,
@@ -187,10 +182,9 @@ void transfer(Io& io, S& s) {
     io(s.config, s.region);
     io(s.queue, s.now, s.next_seq, s.executed);
     io(s.vms, s.provider_usages, s.allocations, s.placement_version);
-    io(s.sched_scheduled, s.sched_no_valid_host, s.sched_retries,
-       s.sched_transient_claim_failures);
-    io(s.clusters, s.nodes);
-    io(s.series, s.shard_counters, s.raw_sealed_through);
+    io(s.sched_transient_claim_failures);
+    io(s.nodes);
+    io(s.series, s.samples_appended, s.samples_dropped, s.raw_sealed_through);
     io(s.events, s.stats);
     io(s.arrival_cursor, s.arrival_drain_seq);
     io(s.has_ha, s.ha_pending, s.ha_downtime, s.ha_crashed, s.ha_restarted,

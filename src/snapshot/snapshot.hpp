@@ -5,12 +5,12 @@
 // A snapshot is the *complete mutable state* of a sim_engine at an
 // event-time barrier (any instant after run_until(T) returned): pending
 // event-heap entries with their sequence slots, every VM's lifecycle
-// fields, placement usage + allocations + version counter, conductor and
-// cluster counters, per-node reservations, the metric store's running
-// aggregates and unsealed raw blocks, the churn-arrival cursor, the HA
-// controller's pending victims and queued restart groups, the
-// backpressure queue, fault arrays, and the textual positions of the
-// serial fault RNG streams.
+// fields, placement usage + allocations + version counter, the
+// conductor's claim-failure counter, per-node reservations, the metric
+// store's running aggregates, unsealed raw blocks and sample counts, the
+// churn-arrival cursor, the HA controller's pending victims and queued
+// restart groups, the backpressure queue, fault arrays, and the textual
+// positions of the serial fault RNG streams.
 //
 // Everything derivable purely from the config is NOT stored and instead
 // rebuilt on restore: the fleet (make_regional_scenario), VM names and
@@ -53,12 +53,14 @@ namespace snapshot {
 /// snapshot from an older or a future build fails with a precise error
 /// instead of misinterpreting bytes.  v4 dropped the open placement
 /// batches, claim counters and shrink and usage versions with the code
-/// that kept them.
+/// that kept them; v5 carries the store's sample counts as two totals
+/// (not 16 shard pairs) and drops the conductor's placement counters and
+/// the DRS clusters' migration counters, which run_stats already keeps.
 /// The field lists of engine_config and run_stats (core/engine.hpp) say
 /// which members the payload carries: not the host timings, the retired
 /// counters or the two population fields the engine recomputes at setup,
 /// so two captures of one state are byte-identical.
-inline constexpr std::uint32_t format_version = 4;
+inline constexpr std::uint32_t format_version = 5;
 
 /// Raised by the codec on malformed input: wrong magic, another format
 /// version, truncation, checksum mismatch, or an out-of-range enum value.
@@ -102,12 +104,6 @@ struct node_state_row {
     gibibytes reserved_disk_gib = 0.0;
 };
 
-/// Lifetime counters of one DRS cluster (clusters_ order = bb id order).
-struct cluster_state_row {
-    std::uint64_t migrations = 0;
-    std::uint64_t aborts = 0;
-};
-
 /// One queued HA victim group (deque order).
 struct ha_group_state {
     sim_time due = 0;
@@ -133,18 +129,15 @@ struct engine_state {
     std::uint64_t placement_version = 0;
 
     // --- conductor --------------------------------------------------------
-    std::uint64_t sched_scheduled = 0;
-    std::uint64_t sched_no_valid_host = 0;
-    std::uint64_t sched_retries = 0;
     std::uint64_t sched_transient_claim_failures = 0;
 
-    // --- clusters & nodes -------------------------------------------------
-    std::vector<cluster_state_row> clusters;
+    // --- nodes ------------------------------------------------------------
     std::vector<node_state_row> nodes;  ///< cluster-major
 
     // --- telemetry --------------------------------------------------------
     std::vector<series_state> series;  ///< ascending series id
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> shard_counters;
+    std::uint64_t samples_appended = 0;  ///< metric_store::total_samples
+    std::uint64_t samples_dropped = 0;   ///< metric_store::dropped_samples
     std::int32_t raw_sealed_through = -1;
 
     // --- log & stats ------------------------------------------------------

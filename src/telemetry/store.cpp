@@ -30,6 +30,7 @@ series_id metric_store::open_series(std::string_view metric, label_set labels) {
     // day/hour slots grow sparsely on first append — a series costs
     // nothing until it actually carries samples
     series_.push_back(std::move(data));
+    batch_stamp_.push_back(0);
     by_labels.emplace(std::move(labels), id);
     return id;
 }
@@ -64,15 +65,22 @@ running_stats& metric_store::daily_slot(series_data& s, int day) {
     return s.daily[static_cast<std::size_t>(day - s.daily_first)];
 }
 
-void metric_store::apply_append(series_data& s, sim_time t, double value,
-                                shard_counters& counters) {
-    ++counters.appended;
+std::optional<int> metric_store::count_samples(sim_time t, std::uint64_t n) {
+    appended_ += n;
     const std::int64_t day = day_index(t);
     if (day < 0 || day >= config_.days) {
-        ++counters.dropped;
-        return;
+        dropped_ += n;  // outside the observation window
+        return std::nullopt;
     }
-    daily_slot(s, static_cast<int>(day)).add(value);
+    if (config_.keep_raw && day <= raw_sealed_through_) {
+        dropped_ += n;  // raw landed in an already-sealed (exported) day
+    }
+    return static_cast<int>(day);
+}
+
+void metric_store::apply_sample(series_data& s, sim_time t, int day,
+                                double value) {
+    daily_slot(s, day).add(value);
     if (s.hourly_metric) {
         const auto hour = static_cast<std::int32_t>(t / seconds_per_hour);
         if (s.hourly_first < 0) s.hourly_first = hour;
@@ -84,16 +92,16 @@ void metric_store::apply_append(series_data& s, sim_time t, double value,
     }
     if (config_.keep_raw && day > raw_sealed_through_) {
         s.raw.push_back(sample{t, value});
-    } else if (config_.keep_raw) {
-        ++counters.dropped;  // landed in an already-sealed (exported) day
     }
 }
 
 void metric_store::append(series_id id, sim_time t, double value) {
     expects(id.valid() && static_cast<std::size_t>(id.value()) < series_.size(),
             "metric_store::append: unknown series");
-    apply_append(series_[static_cast<std::size_t>(id.value())], t, value,
-                 counters_[shard_of(id)]);
+    if (const std::optional<int> day = count_samples(t, 1)) {
+        apply_sample(series_[static_cast<std::size_t>(id.value())], t, *day,
+                     value);
+    }
 }
 
 void metric_store::apply_shards_inline(std::size_t count,
@@ -104,27 +112,26 @@ void metric_store::apply_shards_inline(std::size_t count,
 void metric_store::append_batch(sim_time t,
                                 std::span<const sample_event> batch,
                                 const sharded_runner& run) {
-    // serial prep: partition the batch by series shard.  A series maps to
-    // exactly one shard, so concurrent shard workers touch disjoint
-    // series (and disjoint counter lines); within a shard, batch order is
-    // preserved.
-    for (auto& bucket : batch_shards_) bucket.clear();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        expects(batch[i].id.valid() &&
-                    static_cast<std::size_t>(batch[i].id.value()) <
-                        series_.size(),
+    // serial check before anything is applied: every series is known and
+    // appears once, so the slices `run` hands out touch disjoint series
+    const std::uint64_t stamp = ++batches_;
+    for (const sample_event& ev : batch) {
+        expects(ev.id.valid() &&
+                    static_cast<std::size_t>(ev.id.value()) < series_.size(),
                 "metric_store::append_batch: unknown series");
-        batch_shards_[shard_of(batch[i].id)].push_back(
-            static_cast<std::uint32_t>(i));
+        std::uint64_t& last =
+            batch_stamp_[static_cast<std::size_t>(ev.id.value())];
+        expects(last != stamp,
+                "metric_store::append_batch: a series appears twice in one "
+                "batch");
+        last = stamp;
     }
-    run(append_shard_count, [&](unsigned, std::size_t lo, std::size_t hi) {
-        for (std::size_t s = lo; s < hi; ++s) {
-            shard_counters& counters = counters_[s];
-            for (const std::uint32_t i : batch_shards_[s]) {
-                const sample_event& ev = batch[i];
-                apply_append(series_[static_cast<std::size_t>(ev.id.value())],
-                             t, ev.value, counters);
-            }
+    const std::optional<int> day = count_samples(t, batch.size());
+    if (!day.has_value()) return;
+    run(batch.size(), [&](unsigned, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+            apply_sample(series_[static_cast<std::size_t>(batch[i].id.value())],
+                         t, *day, batch[i].value);
         }
     });
 }
@@ -137,19 +144,7 @@ void metric_store::merge_daily(series_id id, int day,
             "metric_store::merge_daily: day out of range");
     series_data& s = series_[static_cast<std::size_t>(id.value())];
     daily_slot(s, day).merge(aggregate);
-    counters_[shard_of(id)].appended += aggregate.count();
-}
-
-std::uint64_t metric_store::dropped_samples() const {
-    std::uint64_t total = 0;
-    for (const shard_counters& c : counters_) total += c.dropped;
-    return total;
-}
-
-std::uint64_t metric_store::total_samples() const {
-    std::uint64_t total = 0;
-    for (const shard_counters& c : counters_) total += c.appended;
-    return total;
+    appended_ += aggregate.count();
 }
 
 void metric_store::seal_raw_through(int day, const raw_sink& sink) {
@@ -214,22 +209,6 @@ series_id metric_store::restore_series(std::string_view metric,
     s.hourly = std::move(hourly);
     s.raw = std::move(raw);
     return id;
-}
-
-std::pair<std::uint64_t, std::uint64_t> metric_store::shard_counter(
-    unsigned shard) const {
-    expects(shard < append_shard_count,
-            "metric_store::shard_counter: shard out of range");
-    return {counters_[shard].appended, counters_[shard].dropped};
-}
-
-void metric_store::restore_shard_counter(unsigned shard,
-                                         std::uint64_t appended,
-                                         std::uint64_t dropped) {
-    expects(shard < append_shard_count,
-            "metric_store::restore_shard_counter: shard out of range");
-    counters_[shard].appended = appended;
-    counters_[shard].dropped = dropped;
 }
 
 const metric_store::series_data& metric_store::series_at(series_id id) const {

@@ -10,13 +10,14 @@
 //
 // Scale machinery (the full region is 1,800 nodes / 48,000 VMs / 30 days):
 //
-//   * Sharded appends.  A scrape's samples arrive as ONE batch; the batch
-//     is partitioned by series hash into `append_shard_count` fixed shards
-//     so workers can apply appends in parallel — a series maps to exactly
-//     one shard, shard counters are per-shard (merged on read), and each
-//     series sees at most one sample per batch, so per-series order (and
-//     with it every running_stats float sum) is identical to the serial
-//     funnel it replaces at any worker count.
+//   * Ordered batch appends.  A scrape's samples arrive as ONE batch,
+//     which is checked once (every series known, none twice) and counted
+//     once (all its samples share one timestamp, so the window and seal
+//     checks hold for the whole batch), then applied in slices of its own
+//     order: `run` hands each worker one contiguous slice.  Each series
+//     sees one sample per batch, so per-series order — and with it every
+//     running_stats float sum — is identical to appending the batch
+//     serially, at any worker count.
 //
 //   * Sparse aggregates.  A series allocates day/hour slots only for the
 //     span it actually lived (offset + grow), not the full window — a
@@ -27,7 +28,6 @@
 //     their blocks are freed, keeping raw residency O(compaction horizon)
 //     instead of O(window).
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -80,43 +80,38 @@ public:
     /// dropped (they fall outside the observation window) but do not throw.
     void append(series_id id, sim_time t, double value);
 
-    // --- sharded batch append --------------------------------------------
+    // --- batch append -----------------------------------------------------
     /// One sample of a batch append.
     struct sample_event {
         series_id id;
         double value;
     };
-    /// Runs shard work: run(shard_count, fn) must invoke fn over every
-    /// index in [0, shard_count), possibly concurrently (the engine's
-    /// run_sharded, or apply_shards_inline for serial callers).
+    /// Runs slice work: run(count, fn) must invoke fn over every index in
+    /// [0, count), each index once, possibly concurrently on disjoint
+    /// contiguous slices (the engine's run_sharded, or apply_shards_inline
+    /// for serial callers).
     using sharded_runner =
         std::function<void(std::size_t, const thread_pool::range_fn&)>;
-    /// Append one scrape's samples, partitioned by series shard so `run`
-    /// may apply shards in parallel.  PRECONDITION: a series appears at
-    /// most once per batch (one scrape emits one sample per series), so
-    /// per-series append order — and every aggregate float sum — is
-    /// byte-identical to appending the batch serially in order.
+    /// Append one scrape's samples, all taken at `t`.  The batch is
+    /// checked before anything is applied: an unknown series, or a series
+    /// appearing twice (two slices would race on it), throws
+    /// precondition_error and leaves the store untouched.  Then `run`
+    /// applies it slice by slice, in batch order within each slice; every
+    /// aggregate float sum is byte-identical to appending the batch
+    /// serially in order.
     void append_batch(sim_time t, std::span<const sample_event> batch,
                       const sharded_runner& run);
-    /// Serial fallback runner (applies shards inline, in order).
+    /// Serial runner: applies the whole batch inline, in order.
     static void apply_shards_inline(std::size_t count,
                                     const thread_pool::range_fn& fn);
-    /// Number of fixed append shards (series -> shard is a pure hash).
-    static constexpr unsigned append_shard_count = 16;
-    /// Shard owning a series (exposed for tests).
-    static unsigned shard_of(series_id id) {
-        const auto h =
-            static_cast<std::uint64_t>(id.value()) * 0x9E3779B97F4A7C15ull;
-        return static_cast<unsigned>(h >> 60);
-    }
 
     /// Merge a pre-computed day aggregate into a series (Thanos-style
     /// block ingestion; used when importing an exported dataset).
     void merge_daily(series_id id, int day, const running_stats& aggregate);
 
     std::size_t series_count() const { return series_.size(); }
-    std::uint64_t dropped_samples() const;
-    std::uint64_t total_samples() const;
+    std::uint64_t dropped_samples() const { return dropped_; }
+    std::uint64_t total_samples() const { return appended_; }
 
     // --- raw-block sealing -----------------------------------------------
     /// Sink receiving a sealed day's raw samples of one series; after it
@@ -183,10 +178,11 @@ public:
                              std::vector<running_stats> hourly,
                              std::vector<sample> raw);
 
-    /// Per-shard ingest counters {appended, dropped}.
-    std::pair<std::uint64_t, std::uint64_t> shard_counter(unsigned shard) const;
-    void restore_shard_counter(unsigned shard, std::uint64_t appended,
-                               std::uint64_t dropped);
+    /// Overwrite the ingest counters (total_samples, dropped_samples).
+    void restore_sample_counts(std::uint64_t appended, std::uint64_t dropped) {
+        appended_ = appended;
+        dropped_ = dropped;
+    }
     void restore_raw_sealed_through(int day) { raw_sealed_through_ = day; }
 
 private:
@@ -202,15 +198,13 @@ private:
         std::vector<sample> raw;  ///< unsealed samples, time-ascending
     };
 
-    /// Per-shard ingest counters, cache-line separated so parallel shard
-    /// workers never share a line; totals merge on read.
-    struct alignas(64) shard_counters {
-        std::uint64_t appended = 0;
-        std::uint64_t dropped = 0;
-    };
-
-    void apply_append(series_data& s, sim_time t, double value,
-                      shard_counters& counters);
+    /// Count `n` samples taken at `t`: the day they fall in, or nullopt
+    /// when it lies outside the window (dropped, not applied).  Samples
+    /// into a sealed day count as dropped from raw.
+    std::optional<int> count_samples(sim_time t, std::uint64_t n);
+    /// Add one counted sample of `day` to a series' aggregates, and to its
+    /// raw block unless the day is sealed.
+    void apply_sample(series_data& s, sim_time t, int day, double value);
     const series_data& series_at(series_id id) const;
     running_stats& daily_slot(series_data& s, int day);
 
@@ -219,9 +213,12 @@ private:
     std::vector<series_data> series_;
     // per metric-index: labels -> series
     std::vector<std::unordered_map<label_set, series_id>> index_;
-    std::array<shard_counters, append_shard_count> counters_{};
-    /// Batch partition scratch: per shard, indices into the batch.
-    std::array<std::vector<std::uint32_t>, append_shard_count> batch_shards_;
+    /// Per series: the stamp of the last batch that held it (the
+    /// once-per-batch check).
+    std::vector<std::uint64_t> batch_stamp_;
+    std::uint64_t batches_ = 0;
+    std::uint64_t appended_ = 0;
+    std::uint64_t dropped_ = 0;
     int raw_sealed_through_ = -1;
 };
 

@@ -101,7 +101,7 @@ TEST(ConductorTest, PlacesGeneralVmOnGeneralBb) {
     EXPECT_TRUE(outcome.bb == bb_id(0) || outcome.bb == bb_id(1));
     EXPECT_EQ(outcome.attempts, 1);
     EXPECT_EQ(fx.placement.allocation_of(vm_id(0)), outcome.bb);
-    EXPECT_EQ(nova.scheduled_count(), 1u);
+    EXPECT_EQ(fx.placement.allocation_count(), 1u);
 }
 
 TEST(ConductorTest, RoutesHanaToHanaBb) {
@@ -142,14 +142,20 @@ TEST(ConductorTest, NoValidHostWhenFull) {
     conductor nova = fx.make_conductor();
     // hana BB: 2 nodes x 8 TiB; each hana VM takes 1 TiB -> 16 fit
     int placed = 0;
+    placement_outcome outcome;
     for (int i = 0; i < 32; ++i) {
-        const auto outcome = nova.schedule_and_claim(
+        outcome = nova.schedule_and_claim(
             fx.request(vm_id(i), fx.hana, placement_policy::pack));
         if (!outcome.success) break;
         ++placed;
     }
     EXPECT_EQ(placed, 16);
-    EXPECT_EQ(nova.no_valid_host_count(), 1u);
+    // the 17th request is a NoValidHost: no candidate, nothing claimed
+    EXPECT_FALSE(outcome.success);
+    EXPECT_FALSE(outcome.bb.valid());
+    EXPECT_EQ(outcome.attempts, 0);
+    EXPECT_EQ(fx.placement.allocation_count(), 16u);
+    EXPECT_FALSE(fx.placement.allocation_of(vm_id(16)).has_value());
 }
 
 TEST(ConductorTest, ContentionFeedReachesHostStates) {

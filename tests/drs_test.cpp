@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "simcore/error.hpp"
 
@@ -55,7 +57,9 @@ TEST(DrsClusterTest, ConstructionCreatesNodeRuntimes) {
     const drs_cluster cluster = fx.make_cluster();
     EXPECT_EQ(cluster.nodes().size(), 4u);
     EXPECT_EQ(cluster.bb(), fx.bb);
-    EXPECT_EQ(cluster.migration_count(), 0u);
+    for (const node_runtime& nr : cluster.nodes()) {
+        EXPECT_TRUE(nr.residents().empty());
+    }
 }
 
 TEST(DrsClusterTest, RejectsEmptyBb) {
@@ -135,7 +139,8 @@ TEST(DrsClusterTest, RebalanceMovesLoadTowardIdleNode) {
     const double after = cluster.imbalance(fx.demand_fn());
     EXPECT_FALSE(moves.empty());
     EXPECT_LT(after, before);
-    EXPECT_EQ(cluster.migration_count(), moves.size());
+    // every returned move was applied: n0 kept the rest of its 8 VMs
+    EXPECT_EQ(cluster.node(n0).residents().size(), 8u - moves.size());
     for (const drs_migration& m : moves) {
         EXPECT_EQ(m.from, n0);
         EXPECT_TRUE(cluster.node(m.to).hosts(m.vm));
@@ -227,19 +232,24 @@ TEST(DrsClusterTest, RecordAbortChargesWastedPreCopyExactlyOnce) {
     const auto moves =
         cluster.rebalance(fx.demand_fn(), fx.flavor_fn(fx.small));
     ASSERT_FALSE(moves.empty());
-    cluster.record_abort(moves[0].vm);
-    EXPECT_EQ(cluster.abort_count(), 1u);
-    EXPECT_EQ(cluster.completed_migration_count(), moves.size() - 1);
+    const std::vector<vm_id> residents_before(
+        cluster.node(moves[0].to).residents().begin(),
+        cluster.node(moves[0].to).residents().end());
+    EXPECT_NO_THROW(cluster.record_abort(moves[0].vm));
     // a move that aborts again must not double-bill the wasted pre-copy
     // within the same pass
     EXPECT_THROW(cluster.record_abort(moves[0].vm), precondition_error);
-    EXPECT_EQ(cluster.abort_count(), 1u);
-    // a fresh pass opens a new dedup window: the same VM may abort again
+    // charging an abort never touches node state
+    EXPECT_TRUE(std::equal(residents_before.begin(), residents_before.end(),
+                           cluster.node(moves[0].to).residents().begin(),
+                           cluster.node(moves[0].to).residents().end()));
+    // a fresh pass opens a new dedup window: the same VM may abort again,
+    // once
     const auto again =
         cluster.rebalance(fx.demand_fn(), fx.flavor_fn(fx.small));
     (void)again;
-    cluster.record_abort(moves[0].vm);
-    EXPECT_EQ(cluster.abort_count(), 2u);
+    EXPECT_NO_THROW(cluster.record_abort(moves[0].vm));
+    EXPECT_THROW(cluster.record_abort(moves[0].vm), precondition_error);
 }
 
 TEST(DrsClusterTest, SingleNodeClusterNeverRebalances) {

@@ -3,7 +3,8 @@
 // The contract under test: capture at an event-time barrier, round-trip
 // the state through the versioned byte codec, restore into a fresh
 // engine, replay to the end of the window — and the restored run's
-// events/stats fingerprints are bit-identical to the uninterrupted run,
+// events/stats fingerprints and metric store (every series' aggregates and
+// the sample counts) are bit-identical to the uninterrupted run,
 // at SCI_THREADS ∈ {0, 1, 4}, for a clean config and for a faulted one
 // (crashes, claim races, maintenance, migration aborts).  The mid-drain
 // cases prove the hard part is exercised rather than vacuously green:
@@ -15,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,12 +59,49 @@ engine_config base_config(unsigned threads, bool faulted) {
     return config;
 }
 
+/// A finished run's metric store: its two sample counts and a digest of
+/// every series' daily and hourly aggregates, bitwise.
+struct store_digest {
+    std::uint64_t samples = 0, dropped = 0, aggregates = 0;
+    bool operator==(const store_digest&) const = default;
+};
+
+store_digest digest_store(const metric_store& store) {
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a over 64-bit words
+    const auto mix = [&h](std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (word >> (8 * byte)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    const auto mix_stats = [&mix](std::span<const running_stats> slots) {
+        mix(slots.size());
+        for (const running_stats& slot : slots) {
+            const running_stats::exact_state e = slot.exact();
+            mix(e.count);
+            for (const double v : {e.sum, e.m2, e.mean, e.min, e.max}) {
+                mix(std::bit_cast<std::uint64_t>(v));
+            }
+        }
+    };
+    for (std::size_t i = 0; i < store.series_count(); ++i) {
+        const metric_store::series_view v =
+            store.view_of(series_id(static_cast<std::int32_t>(i)));
+        mix(static_cast<std::uint64_t>(v.daily_first));
+        mix_stats(v.daily);
+        mix(static_cast<std::uint64_t>(v.hourly_first));
+        mix_stats(v.hourly);
+    }
+    return {store.total_samples(), store.dropped_samples(), h};
+}
+
 /// One interrupted run + its restored twin: the original engine pauses
 /// at snap_time (captured + serialized there), then finishes the
 /// window; the twin starts from the decoded bytes and replays the tail.
 struct identity_run {
     std::uint64_t events_hash = 0, stats_hash = 0;    // uninterrupted
     std::uint64_t restored_events = 0, restored_stats = 0;
+    store_digest store, restored_store;
     snapshot::engine_state mid;  // the captured barrier state
 };
 
@@ -75,12 +115,14 @@ identity_run run_identity(const engine_config& config) {
     engine.run_until(end_time);
     run.events_hash = events_fingerprint(engine.events());
     run.stats_hash = stats_fingerprint(engine.stats());
+    run.store = digest_store(engine.store());
 
     const std::unique_ptr<sim_engine> restored =
         snapshot::restore(snapshot::deserialize(bytes));
     restored->run_until(end_time);
     run.restored_events = events_fingerprint(restored->events());
     run.restored_stats = stats_fingerprint(restored->stats());
+    run.restored_store = digest_store(restored->store());
     return run;
 }
 
@@ -129,6 +171,23 @@ TEST(SnapshotTest, FaultedRestoredRunIsBitIdenticalAcrossThreadCounts) {
     }
     // the faulted physics actually ran
     EXPECT_NE(faulted_runs()[0].events_hash, default_runs()[0].events_hash);
+}
+
+TEST(SnapshotTest, RestoredStoreMatchesTheUninterruptedRun) {
+    // the store's series, aggregates and sample counts survive the round
+    // trip: after replaying the tail, the restored store is the
+    // uninterrupted run's, at every thread count, clean and faulted
+    for (const std::vector<identity_run>* runs :
+         {&default_runs(), &faulted_runs()}) {
+        for (std::size_t i = 0; i < runs->size(); ++i) {
+            const identity_run& run = (*runs)[i];
+            EXPECT_EQ(run.store, run.restored_store) << "threads run " << i;
+            EXPECT_EQ(run.store, (*runs)[0].store) << "threads run " << i;
+        }
+    }
+    EXPECT_GT(default_runs()[0].mid.samples_appended, 0u);
+    EXPECT_GT(default_runs()[0].store.samples,
+              default_runs()[0].mid.samples_appended);
 }
 
 TEST(SnapshotTest, CapturedStateCarriesFaultMachinery) {
@@ -337,9 +396,9 @@ TEST(SnapshotTest, FutureVersionSnapshotFailsWithPreciseError) {
 }
 
 TEST(SnapshotTest, OlderVersionSnapshotFailsWithPreciseError) {
-    // this build reads format v4 only: a v3 or v1 header is refused by
-    // version number before any payload byte is interpreted
-    for (const std::uint8_t old : {3, 1}) {
+    // this build reads format v5 only: a v4, v3 or v1 header is refused
+    // by version number before any payload byte is interpreted
+    for (const std::uint8_t old : {4, 3, 1}) {
         std::vector<std::byte> bytes =
             snapshot::serialize(default_runs()[0].mid);
         bytes[8] = std::byte{old};

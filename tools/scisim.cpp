@@ -34,6 +34,7 @@
 #include "harness/invariants.hpp"
 #include "harness/scenario_dsl.hpp"
 #include "multiregion/region_set.hpp"
+#include "simcore/thread_pool.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace {
@@ -182,6 +183,13 @@ cli_options parse_options(int argc, char** argv, int first) {
          *options.snapshot_at >= sci::days(sci::observation_days))) {
         std::cerr << "--snapshot-at must fall inside the "
                   << sci::observation_days << "-day window\n";
+        std::exit(2);
+    }
+    // every engine reads SCI_THREADS, so check it before any run starts
+    try {
+        sci::thread_pool::env_threads();
+    } catch (const std::exception& e) {
+        std::cerr << e.what() << "\n";
         std::exit(2);
     }
     return options;

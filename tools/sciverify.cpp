@@ -10,7 +10,7 @@
 // (all invariants hold and every declared replay trace matches).  A
 // scenario that fails to load or throws mid-run is that scenario's failed
 // verdict, its error text in the JSON; the scenarios after it still run.
-// A bad option value exits 2.
+// A bad option value, SCI_BENCH_DAYS or SCI_THREADS exits 2.
 //
 //   --record          write/refresh replay traces instead of comparing
 //   --days N          cap each run to the first N simulated days
@@ -35,6 +35,7 @@
 
 #include "harness/harness.hpp"
 #include "harness/scenario_dsl.hpp"
+#include "simcore/thread_pool.hpp"
 
 namespace {
 
@@ -126,6 +127,14 @@ int main(int argc, char** argv) {
     std::vector<std::filesystem::path> inputs;
     if (const char* env = std::getenv("SCI_BENCH_DAYS"); env && *env) {
         options.days = option_value<int>("SCI_BENCH_DAYS", env);
+    }
+    // every engine reads SCI_THREADS (even under --threads), so a bad
+    // value is an option error here, not each scenario's failed verdict
+    try {
+        sci::thread_pool::env_threads();
+    } catch (const std::exception& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
     }
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
